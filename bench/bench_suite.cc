@@ -52,6 +52,63 @@ const char* KindLabel(core::StrategyKind kind) {
   return core::StrategyName(kind);
 }
 
+/// The multi-query cells' mix: n copies of the Figure 5 query.
+std::vector<plan::QuerySetup> PaperMix(int n, double scale) {
+  std::vector<plan::QuerySetup> mix;
+  for (int i = 0; i < n; ++i) mix.push_back(plan::PaperFigure5Query(scale));
+  return mix;
+}
+
+/// The fleet cells' workload: two Figure 5 templates, the second with a
+/// 3x slower A, and an n-query Poisson stream, 60% interactive on the
+/// first.
+struct FleetStream {
+  std::vector<plan::QuerySetup> templates;
+  std::vector<core::FleetQuerySpec> workload;
+};
+
+FleetStream TwoTemplateStream(double scale, int n, uint64_t seed) {
+  FleetStream out;
+  out.templates.push_back(plan::PaperFigure5Query(0.25 * scale));
+  plan::QuerySetup slow = plan::PaperFigure5Query(0.25 * scale);
+  slow.catalog.source(slow.catalog.Find("A")).delay.mean_us *= 3.0;
+  out.templates.push_back(std::move(slow));
+  Rng stream(seed ^ 0xF1EE7ULL);
+  SimTime at = 0;
+  for (int i = 0; i < n; ++i) {
+    at += Seconds(stream.Exponential(0.05 * scale));
+    core::FleetQuerySpec spec;
+    spec.arrival = at;
+    const bool interactive = stream.NextDouble() < 0.6;
+    spec.template_idx = interactive ? 0 : 1;
+    spec.fairness = interactive ? core::FairnessClass::kInteractive
+                                : core::FairnessClass::kBatch;
+    out.workload.push_back(spec);
+  }
+  return out;
+}
+
+/// Runs one fleet cell on one host thread; the tracked seconds is the
+/// makespan.
+StrategyOutcome RunFleetCell(FleetStream in, const core::FleetConfig& config,
+                             core::StrategyKind kind) {
+  StrategyOutcome outcome;
+  auto fleet = core::FleetExecutor::Create(std::move(in.templates),
+                                           std::move(in.workload), config);
+  if (!fleet.ok()) {
+    outcome.error = fleet.status().ToString();
+    return outcome;
+  }
+  auto r = fleet->Execute(kind, /*jobs=*/1);
+  if (!r.ok()) {
+    outcome.error = r.status().ToString();
+    return outcome;
+  }
+  outcome.ok = true;
+  outcome.seconds = ToSecondsF(r->makespan);
+  return outcome;
+}
+
 void AddStrategyCells(std::vector<SuiteCell>* cells,
                       const std::string& experiment,
                       const std::string& label,
@@ -332,15 +389,11 @@ std::vector<SuiteCell> BuildSuite(const BenchOptions& options,
           cells.push_back({"multi_query", label,
                            [scale, n, mode, kind, seed, cache_enabled] {
                              StrategyOutcome outcome;
-                             std::vector<plan::QuerySetup> mix;
-                             for (int i = 0; i < n; ++i) {
-                               mix.push_back(plan::PaperFigure5Query(scale));
-                             }
                              core::MultiQueryConfig mq;
                              mq.seed = seed;
                              mq.cache.enabled = cache_enabled;
                              auto mediator = core::MultiQueryMediator::Create(
-                                 std::move(mix), mq);
+                                 PaperMix(n, scale), mq);
                              if (!mediator.ok()) {
                                outcome.error =
                                    mediator.status().ToString();
@@ -378,50 +431,13 @@ std::vector<SuiteCell> BuildSuite(const BenchOptions& options,
         const uint64_t seed = options.seed;
         cells.push_back({"fleet", label,
                          [scale, axis, kind, seed, cache_enabled] {
-                           StrategyOutcome outcome;
-                           std::vector<plan::QuerySetup> templates;
-                           templates.push_back(
-                               plan::PaperFigure5Query(0.25 * scale));
-                           plan::QuerySetup slow =
-                               plan::PaperFigure5Query(0.25 * scale);
-                           slow.catalog.source(slow.catalog.Find("A"))
-                               .delay.mean_us *= 3.0;
-                           templates.push_back(std::move(slow));
-                           Rng stream(seed ^ 0xF1EE7ULL);
-                           std::vector<core::FleetQuerySpec> workload;
-                           SimTime at = 0;
-                           for (int i = 0; i < axis.n; ++i) {
-                             at += Seconds(
-                                 stream.Exponential(0.05 * scale));
-                             core::FleetQuerySpec spec;
-                             spec.arrival = at;
-                             const bool interactive =
-                                 stream.NextDouble() < 0.6;
-                             spec.template_idx = interactive ? 0 : 1;
-                             spec.fairness =
-                                 interactive
-                                     ? core::FairnessClass::kInteractive
-                                     : core::FairnessClass::kBatch;
-                             workload.push_back(spec);
-                           }
                            core::FleetConfig fc;
                            fc.seed = seed;
                            fc.num_shards = axis.shards;
                            fc.cache.enabled = cache_enabled;
-                           auto fleet = core::FleetExecutor::Create(
-                               std::move(templates), std::move(workload), fc);
-                           if (!fleet.ok()) {
-                             outcome.error = fleet.status().ToString();
-                             return outcome;
-                           }
-                           auto r = fleet->Execute(kind, /*jobs=*/1);
-                           if (!r.ok()) {
-                             outcome.error = r.status().ToString();
-                             return outcome;
-                           }
-                           outcome.ok = true;
-                           outcome.seconds = ToSecondsF(r->makespan);
-                           return outcome;
+                           return RunFleetCell(
+                               TwoTemplateStream(scale, axis.n, seed), fc,
+                               kind);
                          }});
       }
     }
@@ -446,29 +462,6 @@ std::vector<SuiteCell> BuildSuite(const BenchOptions& options,
                     core::StrategyKind::kSeq, "cascade/SEQ"}}) {
       const uint64_t seed = options.seed;
       cells.push_back({"storm", sc.label, [scale, sc, seed, cache_enabled] {
-                         StrategyOutcome outcome;
-                         std::vector<plan::QuerySetup> templates;
-                         templates.push_back(
-                             plan::PaperFigure5Query(0.25 * scale));
-                         plan::QuerySetup slow =
-                             plan::PaperFigure5Query(0.25 * scale);
-                         slow.catalog.source(slow.catalog.Find("A"))
-                             .delay.mean_us *= 3.0;
-                         templates.push_back(std::move(slow));
-                         Rng stream(seed ^ 0xF1EE7ULL);
-                         std::vector<core::FleetQuerySpec> workload;
-                         SimTime at = 0;
-                         for (int i = 0; i < 12; ++i) {
-                           at += Seconds(stream.Exponential(0.05 * scale));
-                           core::FleetQuerySpec spec;
-                           spec.arrival = at;
-                           const bool interactive = stream.NextDouble() < 0.6;
-                           spec.template_idx = interactive ? 0 : 1;
-                           spec.fairness =
-                               interactive ? core::FairnessClass::kInteractive
-                                           : core::FairnessClass::kBatch;
-                           workload.push_back(spec);
-                         }
                          core::FleetConfig fc;
                          fc.seed = seed;
                          fc.num_shards = 4;
@@ -488,20 +481,8 @@ std::vector<SuiteCell> BuildSuite(const BenchOptions& options,
                          fc.retry_backoff_initial =
                              std::max<SimDuration>(1, scaled(Milliseconds(50)));
                          fc.cache.enabled = cache_enabled;
-                         auto fleet = core::FleetExecutor::Create(
-                             std::move(templates), std::move(workload), fc);
-                         if (!fleet.ok()) {
-                           outcome.error = fleet.status().ToString();
-                           return outcome;
-                         }
-                         auto r = fleet->Execute(sc.kind, /*jobs=*/1);
-                         if (!r.ok()) {
-                           outcome.error = r.status().ToString();
-                           return outcome;
-                         }
-                         outcome.ok = true;
-                         outcome.seconds = ToSecondsF(r->makespan);
-                         return outcome;
+                         return RunFleetCell(TwoTemplateStream(scale, 12, seed),
+                                             fc, sc.kind);
                        }});
     }
   }
@@ -517,15 +498,11 @@ std::vector<SuiteCell> BuildSuite(const BenchOptions& options,
     cells.push_back(
         {"cache_warm", "multi/n=4/shared/DSE/warm", [scale, seed] {
            StrategyOutcome outcome;
-           std::vector<plan::QuerySetup> mix;
-           for (int i = 0; i < 4; ++i) {
-             mix.push_back(plan::PaperFigure5Query(scale));
-           }
            core::MultiQueryConfig mq;
            mq.seed = seed;
            mq.cache.enabled = true;
            auto mediator =
-               core::MultiQueryMediator::Create(std::move(mix), mq);
+               core::MultiQueryMediator::Create(PaperMix(4, scale), mq);
            if (!mediator.ok()) {
              outcome.error = mediator.status().ToString();
              return outcome;
@@ -553,34 +530,14 @@ std::vector<SuiteCell> BuildSuite(const BenchOptions& options,
     cells.push_back({"cache_warm", "fleet/shards=4/n=12/DSE/warm",
                      [scale, seed] {
                        StrategyOutcome outcome;
-                       std::vector<plan::QuerySetup> templates;
-                       templates.push_back(
-                           plan::PaperFigure5Query(0.25 * scale));
-                       plan::QuerySetup slow =
-                           plan::PaperFigure5Query(0.25 * scale);
-                       slow.catalog.source(slow.catalog.Find("A"))
-                           .delay.mean_us *= 3.0;
-                       templates.push_back(std::move(slow));
-                       Rng stream(seed ^ 0xF1EE7ULL);
-                       std::vector<core::FleetQuerySpec> workload;
-                       SimTime at = 0;
-                       for (int i = 0; i < 12; ++i) {
-                         at += Seconds(stream.Exponential(0.05 * scale));
-                         core::FleetQuerySpec spec;
-                         spec.arrival = at;
-                         const bool interactive = stream.NextDouble() < 0.6;
-                         spec.template_idx = interactive ? 0 : 1;
-                         spec.fairness =
-                             interactive ? core::FairnessClass::kInteractive
-                                         : core::FairnessClass::kBatch;
-                         workload.push_back(spec);
-                       }
+                       FleetStream in = TwoTemplateStream(scale, 12, seed);
                        core::FleetConfig fc;
                        fc.seed = seed;
                        fc.num_shards = 4;
                        fc.cache.enabled = true;
                        auto fleet = core::FleetExecutor::Create(
-                           std::move(templates), std::move(workload), fc);
+                           std::move(in.templates), std::move(in.workload),
+                           fc);
                        if (!fleet.ok()) {
                          outcome.error = fleet.status().ToString();
                          return outcome;

@@ -69,7 +69,7 @@ class TupleQueue {
     pushed_ += n;
   }
 
-  /// Enqueues one tuple. Bulk producers must use PushBatch (see dqs_lint);
+  /// Enqueues one tuple. Bulk producers must use PushBatch (see dqs_analyze);
   /// this remains for tests and single-tuple corner cases.
   void Push(const storage::Tuple& t) { PushBatch(&t, 1); }
 

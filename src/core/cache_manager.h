@@ -46,7 +46,7 @@ namespace dqsched::core {
 
 class ExecutionState;
 
-/// Cache knobs, carried by MediatorConfig / MultiQueryConfig / FleetConfig.
+/// Cache knobs, carried by EngineConfig (core/engine.h).
 struct CacheConfig {
   /// Master switch; everything below is ignored when false.
   bool enabled = false;
@@ -152,6 +152,30 @@ class CacheManager {
   storage::MemoryAccountant* accountant_ = nullptr;
   std::unordered_map<SourceId, int64_t> logical_key_of_;
   std::unordered_map<int64_t, uint64_t> versions_;
+};
+
+/// Binds a cache to one execution context's accountant for the scope's
+/// lifetime: attaches (then, with `begin_run`, starts a run) on
+/// construction and returns the reclaimable grant on destruction, on every
+/// exit path. Declare it after the context, so it dies while the
+/// accountant still exists. A null cache (caching off) makes it a no-op.
+class CacheRunScope {
+ public:
+  CacheRunScope(CacheManager* cache, storage::MemoryAccountant* accountant,
+                bool begin_run)
+      : cache_(cache) {
+    if (cache_ == nullptr) return;
+    cache_->AttachAccountant(accountant);
+    if (begin_run) cache_->BeginRun();
+  }
+  ~CacheRunScope() {
+    if (cache_ != nullptr) cache_->DetachAccountant();
+  }
+  CacheRunScope(const CacheRunScope&) = delete;
+  CacheRunScope& operator=(const CacheRunScope&) = delete;
+
+ private:
+  CacheManager* cache_;
 };
 
 }  // namespace dqsched::core

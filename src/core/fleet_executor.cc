@@ -6,6 +6,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -13,25 +15,14 @@
 #include "common/random.h"
 #include "core/shared_loop.h"
 #include "exec/exec_context.h"
-#include "storage/tuple.h"
-#include "wrapper/wrapper.h"
 
 namespace dqsched::core {
 
 namespace {
 
-/// Salt of the storm-compilation rng stream (schedule jitter and the
-/// FaultModel's own draws). Equal to the mediator's kFaultSalt so both
-/// drivers carve their fault randomness out of the same family.
-constexpr uint64_t kFleetFaultSalt = 0xa0761d6478bd642fULL;
 /// Salt of the retry-backoff jitter stream: dedicated, so arming retries
 /// perturbs no data/delay/fault draw anywhere else (DESIGN.md §13).
 constexpr uint64_t kFleetRetrySalt = 0x8bb84b93962eacc9ULL;
-
-uint64_t MixSeed(uint64_t base, uint64_t a, uint64_t b) {
-  return storage::Mix64(base ^ (a + 1) * 0x9e3779b97f4a7c15ULL ^
-                        (b + 1) * 0xc2b2ae3d27d4eb4fULL);
-}
 
 /// Admission estimate of one compiled template: the annotated hard +
 /// spillable memory of every chain, never below one byte (the broker
@@ -54,7 +45,7 @@ bool GrantBefore(const MemoryBroker::Grant& a, const MemoryBroker::Grant& b) {
 Result<FleetExecutor> FleetExecutor::Create(
     std::vector<plan::QuerySetup> templates,
     std::vector<FleetQuerySpec> workload, FleetConfig config) {
-  DQS_RETURN_IF_ERROR(config.cost.Validate());
+  DQS_RETURN_IF_ERROR(config.Validate());
   if (templates.empty()) {
     return Status::InvalidArgument("no query templates");
   }
@@ -62,9 +53,8 @@ Result<FleetExecutor> FleetExecutor::Create(
     return Status::InvalidArgument("empty fleet workload");
   }
   if (config.num_shards <= 0 || config.sync_turns <= 0 ||
-      config.slice_batches <= 0 || config.memory_budget_bytes <= 0) {
-    return Status::InvalidArgument(
-        "shards, sync turns, slice and budget must be > 0");
+      config.slice_batches <= 0) {
+    return Status::InvalidArgument("shards, sync turns and slice must be > 0");
   }
   DQS_RETURN_IF_ERROR(config.storm.Validate());
   if (config.max_attempts < 1) {
@@ -80,23 +70,13 @@ Result<FleetExecutor> FleetExecutor::Create(
   std::vector<PreparedTemplate> prepared;
   prepared.reserve(templates.size());
   for (size_t t = 0; t < templates.size(); ++t) {
-    plan::QuerySetup& setup = templates[t];
+    Result<PreparedQuery> query = PrepareQuery(
+        std::move(templates[t].catalog), templates[t].plan, config.cost,
+        SeedPolicy::Fleet(config.seed, static_cast<int>(t)));
+    if (!query.ok()) return query.status();
     PreparedTemplate tpl;
-    Result<plan::CompiledPlan> compiled =
-        plan::Compile(setup.plan, setup.catalog);
-    if (!compiled.ok()) return compiled.status();
-    tpl.compiled = std::move(compiled.value());
-    DQS_RETURN_IF_ERROR(
-        plan::Annotate(&tpl.compiled, setup.catalog, config.cost));
-    tpl.data.reserve(static_cast<size_t>(setup.catalog.num_sources()));
-    for (SourceId s = 0; s < setup.catalog.num_sources(); ++s) {
-      tpl.data.push_back(storage::GenerateRelation(
-          setup.catalog.source(s).relation, s,
-          Rng(MixSeed(config.seed, 0x7E3D + t, static_cast<uint64_t>(s)))));
-    }
-    tpl.reference = plan::ExecuteReference(tpl.compiled, tpl.data);
-    tpl.est_bytes = EstimateBytes(tpl.compiled);
-    tpl.catalog = std::move(setup.catalog);
+    tpl.est_bytes = EstimateBytes(query->compiled);
+    tpl.query = std::move(query.value());
     prepared.push_back(std::move(tpl));
   }
 
@@ -141,12 +121,12 @@ Result<FleetExecutor> FleetExecutor::Create(
       PreparedInstance& inst = instances[static_cast<size_t>(idx)];
       const PreparedTemplate& tpl =
           prepared[static_cast<size_t>(inst.spec.template_idx)];
-      inst.compiled = tpl.compiled;
+      inst.compiled = tpl.query.compiled;
       for (plan::ChainInfo& chain : inst.compiled.chains) {
         chain.source += offset;
       }
       inst.source_lo = offset;
-      inst.source_hi = offset + tpl.catalog.num_sources();
+      inst.source_hi = offset + tpl.query.catalog.num_sources();
       offset = inst.source_hi;
     }
   }
@@ -181,7 +161,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
   int total_keys = 0;
   for (size_t t = 0; t < templates_.size(); ++t) {
     tpl_key_offset[t] = total_keys;
-    total_keys += templates_[t].catalog.num_sources();
+    total_keys += templates_[t].query.catalog.num_sources();
   }
 
   // Result cache (DESIGN.md §14): one CacheManager per shard, created on
@@ -237,20 +217,34 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     /// Shard-remapped plan copies of retry attempts (deque: AddQuery
     /// keeps pointers into elements, so no reallocation is allowed).
     std::deque<plan::CompiledPlan> retry_plans;
+    /// The shard cache's run. Declared last so it is destroyed first: the
+    /// accountant it returns the reclaimable grant to lives inside `ctx`.
+    /// Entries stay resident across runs.
+    std::optional<CacheRunScope> cache_run;
   };
   std::vector<ShardRun> shards(static_cast<size_t>(num_shards));
-  // Return the reclaimable grants on every exit path. Declared after
-  // `shards` so it is destroyed first — the accountants the managers
-  // must release into live inside the shard ExecContexts. Entries stay
-  // resident across runs.
-  struct CacheDetach {
-    std::vector<std::unique_ptr<CacheManager>>* caches = nullptr;
-    ~CacheDetach() {
-      if (caches == nullptr) return;
-      for (std::unique_ptr<CacheManager>& c : *caches) c->DetachAccountant();
+
+  // Registers one attempt's wrappers, held, at the end of the shard's
+  // source space, and maps each to its logical key. Instances of a
+  // template hash to the same cache entries: the fingerprint sees the
+  // logical key, not the shard-local id.
+  auto add_attempt_sources = [&](ShardRun& sr, const PreparedInstance& inst,
+                                 int attempt, CacheManager* cache) {
+    const int t = inst.spec.template_idx;
+    const PreparedQuery& q = templates_[static_cast<size_t>(t)].query;
+    const SourceId lo =
+        AddWrappers(*sr.ctx, q, SeedPolicy::Fleet(config_.seed, t, inst.uid,
+                                                  attempt),
+                    /*hold=*/true);
+    for (SourceId src = 0; src < q.catalog.num_sources(); ++src) {
+      const int key = tpl_key_offset[static_cast<size_t>(t)] +
+                      static_cast<int>(src);
+      sr.source_key.push_back(key);
+      if (cache != nullptr) cache->MapSource(lo + src, key);
     }
-  } cache_detach;
-  if (caching) cache_detach.caches = &caches_;
+    return lo;
+  };
+
   for (int s = 0; s < num_shards; ++s) {
     ShardRun& sr = shards[static_cast<size_t>(s)];
     sr.ctx = std::make_unique<exec::ExecContext>(
@@ -265,27 +259,9 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
         caching ? caches_[static_cast<size_t>(s)].get() : nullptr;
     for (int idx : shard_instances_[static_cast<size_t>(s)]) {
       const PreparedInstance& inst = instances_[static_cast<size_t>(idx)];
-      const PreparedTemplate& tpl =
-          templates_[static_cast<size_t>(inst.spec.template_idx)];
-      for (SourceId src = 0; src < tpl.catalog.num_sources(); ++src) {
-        auto w = std::make_unique<wrapper::SimWrapper>(
-            inst.source_lo + src, &tpl.data[static_cast<size_t>(src)],
-            tpl.catalog.source(src).delay,
-            MixSeed(config_.seed, static_cast<uint64_t>(inst.uid),
-                    static_cast<uint64_t>(src) + 977));
-        w->Hold();
-        sr.ctx->comm.AddSource(
-            std::move(w), static_cast<double>(config_.cost.MinWaitingTime()));
-        const int key =
-            tpl_key_offset[static_cast<size_t>(inst.spec.template_idx)] +
-            static_cast<int>(src);
-        sr.source_key.push_back(key);
-        // Instances of a template hash to the same cache entries: the
-        // fingerprint sees the logical key, not the shard-local id.
-        if (shard_cache != nullptr) {
-          shard_cache->MapSource(inst.source_lo + src, key);
-        }
-      }
+      const SourceId lo =
+          add_attempt_sources(sr, inst, /*attempt=*/1, shard_cache);
+      DQS_CHECK(lo == inst.source_lo);
     }
     SharedQueryLoop::Options loop_options;
     loop_options.strategy = strategy;
@@ -296,10 +272,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     loop_options.kernels = config_.kernels;
     loop_options.cache = shard_cache;
     sr.loop = std::make_unique<SharedQueryLoop>(sr.ctx.get(), loop_options);
-    if (shard_cache != nullptr) {
-      shard_cache->AttachAccountant(&sr.ctx->memory);
-      shard_cache->BeginRun();
-    }
+    sr.cache_run.emplace(shard_cache, &sr.ctx->memory, /*begin_run=*/true);
   }
 
   MemoryBroker broker(MemoryBroker::Config{config_.memory_budget_bytes});
@@ -348,20 +321,10 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     // counts).
     auto harvest = [&](int slot) {
       const SharedQueryDesc& d = sr.loop->desc(slot);
-      FaultStats& f =
-          fault_acc[static_cast<size_t>(sr.slot_uid[static_cast<size_t>(
-              slot)])];
-      for (SourceId src = d.source_lo; src < d.source_hi; ++src) {
-        const wrapper::FaultInjectionStats* fs =
-            ctx.comm.wrapper(src).fault_stats();
-        if (fs != nullptr) {
-          f.stalls_injected += fs->stalls;
-          f.disconnects_injected += fs->disconnects;
-          f.reconnects += fs->reconnects;
-          if (fs->died) ++f.sources_killed;
-        }
-        f.replays_discarded += ctx.comm.ReplayDiscarded(src);
-      }
+      FoldSourceFaults(
+          ctx.comm, d.source_lo, d.source_hi,
+          &fault_acc[static_cast<size_t>(
+              sr.slot_uid[static_cast<size_t>(slot)])]);
     };
 
     // A cancelled query abandons any half-open probe it held: the probe
@@ -501,29 +464,12 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
         // range; the first attempt's closed range stays retired. The
         // wrapper seed folds the attempt in, so retries replay the same
         // *data* through new delay/fault draws.
-        const SourceId n_src = tpl.catalog.num_sources();
-        lo = ctx.comm.num_sources();
-        hi = lo + n_src;
-        sr.retry_plans.push_back(tpl.compiled);
+        lo = add_attempt_sources(sr, inst, ls.attempts, cache);
+        hi = lo + tpl.query.catalog.num_sources();
+        sr.retry_plans.push_back(tpl.query.compiled);
         plan::CompiledPlan& copy = sr.retry_plans.back();
         for (plan::ChainInfo& chain : copy.chains) chain.source += lo;
         compiled = &copy;
-        for (SourceId src = 0; src < n_src; ++src) {
-          auto w = std::make_unique<wrapper::SimWrapper>(
-              lo + src, &tpl.data[static_cast<size_t>(src)],
-              tpl.catalog.source(src).delay,
-              MixSeed(config_.seed, static_cast<uint64_t>(uid),
-                      static_cast<uint64_t>(src) + 977 +
-                          static_cast<uint64_t>(ls.attempts) * 7919));
-          w->Hold();
-          ctx.comm.AddSource(std::move(w),
-                             static_cast<double>(config_.cost.MinWaitingTime()));
-          const int key =
-              tpl_key_offset[static_cast<size_t>(inst.spec.template_idx)] +
-              static_cast<int>(src);
-          sr.source_key.push_back(key);
-          if (cache != nullptr) cache->MapSource(lo + src, key);
-        }
       }
       for (SourceId src = lo; src < hi; ++src) {
         const int key = sr.source_key[static_cast<size_t>(src)];
@@ -532,17 +478,18 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
           // tuple-index schedule: an attempt starting after the storm
           // passed gets an empty schedule, which is what makes
           // retry-after-recovery succeed.
-          Rng rng(MixSeed(config_.seed ^ kFleetFaultSalt,
+          Rng rng(MixSeed(config_.seed ^ kFaultSalt,
                           static_cast<uint64_t>(uid) * 64 +
                               static_cast<uint64_t>(ls.attempts),
                           static_cast<uint64_t>(key)));
           wrapper::FaultSchedule schedule = wrapper::BuildStormSchedule(
               config_.storm, key, total_keys, now,
               ctx.comm.wrapper(src).MeanDelayNs(),
-              tpl.data[static_cast<size_t>(src - lo)].cardinality(), &rng);
+              tpl.query.data[static_cast<size_t>(src - lo)].cardinality(),
+              &rng);
           ctx.comm.InstallFaultSchedule(
               src, std::move(schedule),
-              MixSeed(config_.seed ^ kFleetFaultSalt,
+              MixSeed(config_.seed ^ kFaultSalt,
                       static_cast<uint64_t>(uid) * 64 +
                           static_cast<uint64_t>(ls.attempts),
                       static_cast<uint64_t>(key) + 0x5151));
@@ -833,8 +780,6 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     for (int slot = 0; slot < sr.loop->num_queries(); ++slot) {
       const int64_t uid = sr.slot_uid[static_cast<size_t>(slot)];
       FleetQueryOutcome& oc = out.queries[static_cast<size_t>(uid)];
-      const PreparedTemplate& tpl =
-          templates_[static_cast<size_t>(oc.template_idx)];
       // Slot order is join order, so a retried query's later attempts
       // overwrite the earlier ones: the final attempt's metrics win.
       oc.metrics = sr.loop->QueryMetrics(slot);
@@ -847,11 +792,10 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
       if (config_.verify_results && oc.status == QueryStatus::kOk &&
           !sr.loop->cancelled(slot)) {
         const exec::ResultCollector& result = sr.loop->result(slot);
-        if (result.count() != tpl.reference.result_card ||
-            result.checksum().value() != tpl.reference.checksum.value()) {
-          return Status::Internal("fleet result mismatch in query " +
-                                  std::to_string(uid));
-        }
+        DQS_RETURN_IF_ERROR(templates_[static_cast<size_t>(oc.template_idx)]
+                                .query.CheckAnswer(
+                                    result.count(), result.checksum().value(),
+                                    "fleet query " + std::to_string(uid)));
       }
     }
     FleetShardOutcome& so = out.shards[static_cast<size_t>(s)];

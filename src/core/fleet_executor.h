@@ -34,20 +34,16 @@
 #include <memory>
 #include <vector>
 
-#include "comm/comm_manager.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "core/cache_manager.h"
 #include "core/circuit_breaker.h"
+#include "core/engine.h"
 #include "core/memory_broker.h"
 #include "core/metrics.h"
 #include "core/strategy.h"
 #include "plan/canonical_plans.h"
 #include "plan/compiled_plan.h"
-#include "plan/reference_executor.h"
-#include "sim/cost_model.h"
-#include "storage/relation.h"
-#include "wrapper/catalog.h"
 #include "wrapper/fault_model.h"
 
 namespace dqsched::core {
@@ -61,24 +57,18 @@ struct FleetQuerySpec {
   FairnessClass fairness = FairnessClass::kInteractive;
 };
 
-struct FleetConfig {
-  sim::CostModel cost;
-  /// Global admission budget (the broker's) and each shard's execution
-  /// budget. Admission throttles by estimates; the per-shard accountant
-  /// enforces at runtime, with DQO spilling under pressure.
-  int64_t memory_budget_bytes = 256LL * 1024 * 1024;
-  comm::CommConfig comm;
-  StrategyConfig strategy;
+/// Fleet configuration. EngineConfig::memory_budget_bytes is both the
+/// broker's global admission budget and each shard's execution budget:
+/// admission throttles by estimates, the per-shard accountant enforces at
+/// runtime, with DQO spilling under pressure.
+struct FleetConfig : EngineConfig {
   /// Fixed shard count (NOT the thread count — see the header comment).
   int num_shards = 4;
   /// Batches one query executes before yielding within a shard's loop.
   int64_t slice_batches = 32;
   /// Loop turns a shard advances per round between broker barriers.
   int64_t sync_turns = 1024;
-  uint64_t seed = 42;
-  bool verify_results = true;
   bool targeted_replans = false;
-  exec::KernelConfig kernels;
 
   // ---- Query lifecycle (DESIGN.md §13) ----------------------------------
   // The lifecycle manager is armed when deadline_budget > 0 or a storm is
@@ -103,16 +93,9 @@ struct FleetConfig {
   /// on a shard that reads the same template source.
   BreakerConfig breaker;
   /// Correlated fault-storm scenario compiled into per-attempt fault
-  /// schedules (wrapper/fault_model.h). kNone = no storm.
+  /// schedules (wrapper/fault_model.h). kNone = no storm. The fleet's only
+  /// fault source: Create rejects catalog fault schedules.
   wrapper::StormConfig storm;
-
-  // ---- Result cache (DESIGN.md §14) -------------------------------------
-  /// Per-shard materialized-fragment/result cache. Entries admitted in one
-  /// Execute become visible to the next Execute on the same FleetExecutor
-  /// (epoch gating), so a single run — and the first run of any sequence —
-  /// is byte-identical to cache=off on every non-wall metric except the
-  /// CacheStats counters themselves.
-  CacheConfig cache;
 };
 
 /// Per-query outcome, indexed by the query's stream uid.
@@ -208,10 +191,7 @@ class FleetExecutor {
 
  private:
   struct PreparedTemplate {
-    wrapper::Catalog catalog;
-    plan::CompiledPlan compiled;  // unremapped (shard copies remap)
-    std::vector<storage::Relation> data;
-    plan::ReferenceResult reference;
+    PreparedQuery query;  // unremapped (shard copies remap)
     int64_t est_bytes = 1;  // admission estimate from the annotations
   };
 

@@ -1,116 +1,20 @@
 #include "core/mediator.h"
 
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <utility>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "core/dphj.h"
-#include "core/scrambling.h"
 #include "core/execution_state.h"
+#include "core/scrambling.h"
 #include "exec/exec_context.h"
-#include "wrapper/wrapper.h"
+#include "wrapper/delay_model.h"
 
 namespace dqsched::core {
 
-namespace {
-
-/// Stable per-source seed derivation: data and delay draws must be
-/// identical across strategies and across hosts.
-uint64_t SourceSeed(uint64_t base, SourceId source, uint64_t salt) {
-  return storage::Mix64(base ^ (static_cast<uint64_t>(source) + 1) * salt);
-}
-
-constexpr uint64_t kDataSalt = 0x9e3779b97f4a7c15ULL;
-constexpr uint64_t kDelaySalt = 0xc2b2ae3d27d4eb4fULL;
-// Fault models draw from their own salted stream: arming a fault schedule
-// must not shift a single data or delay draw.
-constexpr uint64_t kFaultSalt = 0xa0761d6478bd642fULL;
-
-/// Serializes everything the oracle's answer depends on: the data
-/// generator inputs (relation specs + seed) and the compiled chain
-/// structure. Annotations are excluded — the reference executor never
-/// reads estimates. Valid only because Create() derives `data` from
-/// exactly these inputs.
-std::string ReferenceKey(const plan::CompiledPlan& compiled,
-                         const wrapper::Catalog& catalog, uint64_t seed) {
-  std::string key;
-  key.reserve(512);
-  auto raw = [&key](const void* p, size_t n) {
-    key.append(static_cast<const char*>(p), n);
-  };
-  auto i64 = [&raw](int64_t v) { raw(&v, sizeof v); };
-  auto f64 = [&raw](double v) { raw(&v, sizeof v); };
-  i64(static_cast<int64_t>(seed));
-  i64(catalog.num_sources());
-  for (const wrapper::SourceSpec& s : catalog.sources) {
-    i64(s.relation.cardinality);
-    for (int64_t d : s.relation.key_domain) i64(d);
-  }
-  i64(compiled.result_chain);
-  i64(compiled.num_joins);
-  for (ChainId c : compiled.operand_of_join) i64(c);
-  for (int f : compiled.join_build_field) i64(f);
-  for (const plan::ChainInfo& c : compiled.chains) {
-    i64(c.source);
-    i64(c.is_result ? 1 : 0);
-    i64(c.sink_join);
-    i64(c.build_key_field);
-    i64(static_cast<int64_t>(c.ops.size()));
-    for (const plan::ChainOp& op : c.ops) {
-      i64(static_cast<int64_t>(op.kind));
-      i64(op.node);
-      f64(op.selectivity);
-      i64(op.join);
-      i64(op.probe_key_field);
-    }
-  }
-  return key;
-}
-
-/// Bench grids build many Mediators whose cells differ only in delay or
-/// strategy configuration; the oracle run (and its exact result) is
-/// identical across all of them. Memoize it process-wide — the reference
-/// executor is host-side verification with no simulated cost attached, so
-/// this changes no metric. The miss path runs outside the lock; a losing
-/// racer simply discards its duplicate. Entries are never erased, so the
-/// returned reference stays valid for the process lifetime.
-const plan::ReferenceResult& CachedReference(
-    const plan::CompiledPlan& compiled,
-    const std::vector<storage::Relation>& data,
-    const wrapper::Catalog& catalog, uint64_t seed) {
-  static std::mutex mu;
-  // Sorted keys (std::map), not a hash map: lookup cost is irrelevant for
-  // a per-grid memo, and no unordered container sits anywhere near result
-  // state (dqs-analyze rule unordered-iter keeps it that way).
-  static std::map<std::string, std::unique_ptr<plan::ReferenceResult>> memo;
-  std::string key = ReferenceKey(compiled, catalog, seed);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = memo.find(key);
-    if (it != memo.end()) return *it->second;
-  }
-  auto computed = std::make_unique<plan::ReferenceResult>(
-      plan::ExecuteReference(compiled, data));
-  std::lock_guard<std::mutex> lock(mu);
-  auto [it, inserted] = memo.emplace(std::move(key), std::move(computed));
-  return *it->second;
-}
-
-}  // namespace
-
 Result<Mediator> Mediator::Create(wrapper::Catalog catalog, plan::Plan plan,
                                   MediatorConfig config) {
-  DQS_RETURN_IF_ERROR(config.cost.Validate());
-  DQS_RETURN_IF_ERROR(catalog.Validate());
-  if (config.memory_budget_bytes <= 0) {
-    return Status::InvalidArgument("memory budget must be > 0");
-  }
-  if (config.strategy.dqp.batch_size <= 0) {
-    return Status::InvalidArgument("batch size must be > 0");
-  }
+  DQS_RETURN_IF_ERROR(config.Validate());
   if (config.query_deadline < 0) {
     return Status::InvalidArgument("query deadline must be >= 0");
   }
@@ -124,68 +28,43 @@ Result<Mediator> Mediator::Create(wrapper::Catalog catalog, plan::Plan plan,
     }
   }
 
-  Result<plan::CompiledPlan> compiled = plan::Compile(plan, catalog);
-  if (!compiled.ok()) return compiled.status();
-  DQS_RETURN_IF_ERROR(plan::Annotate(&compiled.value(), catalog, config.cost));
-
-  std::vector<storage::Relation> data;
-  data.reserve(static_cast<size_t>(catalog.num_sources()));
-  for (SourceId s = 0; s < catalog.num_sources(); ++s) {
-    data.push_back(storage::GenerateRelation(
-        catalog.source(s).relation, s,
-        Rng(SourceSeed(config.seed, s, kDataSalt))));
-  }
-
-  plan::ReferenceResult reference =
-      CachedReference(compiled.value(), data, catalog, config.seed);
+  const SeedPolicy seeds = SeedPolicy::Mediator(config.seed);
+  Result<PreparedQuery> query =
+      PrepareQuery(std::move(catalog), plan, config.cost, seeds);
+  if (!query.ok()) return query.status();
 
   // Replay each wrapper's delay draws: the realized retrieval totals make
   // the lower bound tight for this exact workload instance.
+  const wrapper::Catalog& cat = query->catalog;
   std::vector<double> realized;
-  realized.reserve(static_cast<size_t>(catalog.num_sources()));
-  for (SourceId s = 0; s < catalog.num_sources(); ++s) {
-    Rng rng(SourceSeed(config.seed, s, kDelaySalt));
-    auto model = wrapper::MakeDelayModel(catalog.source(s).delay);
+  realized.reserve(static_cast<size_t>(cat.num_sources()));
+  for (SourceId s = 0; s < cat.num_sources(); ++s) {
+    Rng rng(seeds.DelaySeed(s));
+    auto model = wrapper::MakeDelayModel(cat.source(s).delay);
     double total = 0.0;
-    const int64_t n = catalog.source(s).relation.cardinality;
+    const int64_t n = cat.source(s).relation.cardinality;
     for (int64_t i = 0; i < n; ++i) {
       total += static_cast<double>(model->NextDelay(i, rng));
     }
     realized.push_back(total);
   }
 
-  return Mediator(std::move(catalog), std::move(config),
-                  std::move(compiled.value()), std::move(data),
-                  std::move(reference), std::move(realized));
+  return Mediator(std::move(config), std::move(query.value()),
+                  std::move(realized));
 }
 
 void Mediator::SetupContext(exec::ExecContext& ctx) const {
-  for (SourceId s = 0; s < catalog_.num_sources(); ++s) {
-    auto w = std::make_unique<wrapper::SimWrapper>(
-        s, &data_[static_cast<size_t>(s)], catalog_.source(s).delay,
-        SourceSeed(config_.seed, s, kDelaySalt));
-    if (!catalog_.source(s).faults.empty()) {
-      w->SetFaultSchedule(catalog_.source(s).faults,
-                          SourceSeed(config_.seed, s, kFaultSalt));
-    }
-    // The pre-observation prior a static optimizer would assume: delivery
-    // at full speed (the paper's w_min).
-    ctx.comm.AddSource(std::move(w),
-                       static_cast<double>(config_.cost.MinWaitingTime()));
-  }
+  AddWrappers(ctx, query_, SeedPolicy::Mediator(config_.seed),
+              /*hold=*/false);
 }
 
-Status Mediator::VerifyAgainstReference(const ExecutionMetrics& metrics,
-                                        const char* label) const {
-  if (!config_.verify_results) return Status::Ok();
-  if (metrics.result_count != reference_.result_card ||
-      metrics.result_checksum != reference_.checksum.value()) {
-    return Status::Internal(std::string("result mismatch under ") + label +
-                            ": got " + std::to_string(metrics.result_count) +
-                            " tuples, expected " +
-                            std::to_string(reference_.result_card));
+Status Mediator::Verify(const ExecutionMetrics& metrics,
+                        const char* label) const {
+  if (!config_.verify_results || metrics.fault.partial_result) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  return query_.CheckAnswer(metrics.result_count, metrics.result_checksum,
+                            label);
 }
 
 Result<Mediator::TracedExecution> Mediator::ExecuteWithOptions(
@@ -194,37 +73,26 @@ Result<Mediator::TracedExecution> Mediator::ExecuteWithOptions(
                         config_.memory_budget_bytes);
   SetupContext(ctx);
 
-  // Per-run cache (see MediatorConfig::cache): fresh, so the run is
-  // always cold — epoch gating keeps its own admissions invisible — and
-  // Execute's determinism contract holds with caching on or off.
+  // Per-run cache (see EngineConfig::cache): fresh, so the run is always
+  // cold — epoch gating keeps its own admissions invisible — and Execute's
+  // determinism contract holds with caching on or off.
   CacheManager run_cache(config_.cache);
-  struct Detach {
-    CacheManager* cache = nullptr;
-    ~Detach() {
-      if (cache != nullptr) cache->DetachAccountant();
-    }
-  } detach;
+  CacheManager* const cache = config_.cache.enabled ? &run_cache : nullptr;
+  CacheRunScope cache_run(cache, &ctx.memory, /*begin_run=*/true);
 
   ExecutionOptions options = OptionsFor(kind);
   options.trace = trace;
   options.kernels = config_.kernels;
-  if (config_.cache.enabled) {
-    run_cache.AttachAccountant(&ctx.memory);
-    detach.cache = &run_cache;
-    run_cache.BeginRun();
-    options.cache = &run_cache;
-  }
-  ExecutionState state(&compiled_, &ctx, options);
+  options.cache = cache;
+  ExecutionState state(&query_.compiled, &ctx, options);
   StrategyConfig strategy = config_.strategy;
   if (config_.query_deadline > 0) {
     strategy.dqp.deadline = config_.query_deadline;
   }
   Result<ExecutionMetrics> metrics = RunStrategy(kind, state, ctx, strategy);
   if (!metrics.ok()) return metrics.status();
-  if (!metrics->fault.partial_result) {
-    DQS_RETURN_IF_ERROR(VerifyAgainstReference(*metrics, StrategyName(kind)));
-  }
-  if (config_.cache.enabled) {
+  DQS_RETURN_IF_ERROR(Verify(*metrics, StrategyName(kind)));
+  if (cache != nullptr) {
     run_cache.AdmitQuery(state, ctx, !metrics->fault.partial_result);
     metrics->cache = run_cache.stats();
   }
@@ -255,16 +123,14 @@ Result<ExecutionMetrics> Mediator::ExecuteScrambling(
   // materializes to overlap), but not its rate-driven planning.
   ExecutionOptions options = OptionsFor(StrategyKind::kDse);
   options.kernels = config_.kernels;
-  ExecutionState state(&compiled_, &ctx, options);
+  ExecutionState state(&query_.compiled, &ctx, options);
   ScramblingConfig scr;
   scr.timeout = timeout;
   scr.batch_size = config_.strategy.dqp.batch_size;
   scr.deadline = config_.query_deadline;
   Result<ExecutionMetrics> metrics = RunScrambling(state, ctx, scr);
   if (!metrics.ok()) return metrics;
-  if (!metrics->fault.partial_result) {
-    DQS_RETURN_IF_ERROR(VerifyAgainstReference(*metrics, "SCR"));
-  }
+  DQS_RETURN_IF_ERROR(Verify(*metrics, "SCR"));
   return metrics;
 }
 
@@ -274,15 +140,15 @@ Result<ExecutionMetrics> Mediator::ExecuteDphj() const {
   SetupContext(ctx);
   DphjConfig dphj;
   dphj.batch_size = config_.strategy.dqp.batch_size;
-  Result<ExecutionMetrics> metrics = RunDphj(compiled_, ctx, dphj);
+  Result<ExecutionMetrics> metrics = RunDphj(query_.compiled, ctx, dphj);
   if (!metrics.ok()) return metrics;
-  DQS_RETURN_IF_ERROR(VerifyAgainstReference(*metrics, "DPHJ"));
+  DQS_RETURN_IF_ERROR(Verify(*metrics, "DPHJ"));
   return metrics;
 }
 
 LwbBreakdown Mediator::LowerBound() const {
-  return ComputeLwb(compiled_, reference_, catalog_, config_.cost,
-                    realized_retrieval_ns_);
+  return ComputeLwb(query_.compiled, query_.reference, query_.catalog,
+                    config_.cost, realized_retrieval_ns_);
 }
 
 }  // namespace dqsched::core

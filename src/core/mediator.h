@@ -9,49 +9,25 @@
 
 #include <vector>
 
-#include "comm/comm_manager.h"
 #include "common/status.h"
-#include "core/cache_manager.h"
+#include "core/engine.h"
 #include "core/lwb.h"
-#include "core/trace.h"
 #include "core/metrics.h"
 #include "core/strategy.h"
-#include "exec/kernel_config.h"
+#include "core/trace.h"
 #include "plan/compiled_plan.h"
 #include "plan/plan_node.h"
 #include "plan/reference_executor.h"
-#include "sim/cost_model.h"
 #include "storage/relation.h"
 #include "wrapper/catalog.h"
 
 namespace dqsched::core {
 
 /// Everything configurable about one mediator.
-struct MediatorConfig {
-  /// Simulation cost parameters (paper Table 1 defaults).
-  sim::CostModel cost;
-  /// Total memory available for the query execution, bytes.
-  int64_t memory_budget_bytes = 256LL * 1024 * 1024;
-  /// Communication layer (queue capacity, rate-change detection).
-  comm::CommConfig comm;
-  /// Scheduler (bmt) and processor (batch size, stall timeout) tunables.
-  StrategyConfig strategy;
-  /// Seed for data generation and delay draws; one seed = one workload.
-  uint64_t seed = 42;
-  /// Verify every execution's result against the reference executor.
-  /// (Partial results under FaultPolicy::partial_results are exempt.)
-  bool verify_results = true;
+struct MediatorConfig : EngineConfig {
   /// Virtual-time budget for each execution (0 = unlimited). Expiry
   /// raises kDeadlineExceeded, resolved per StrategyConfig::fault.
   SimDuration query_deadline = 0;
-  /// Operator kernels (vectorized by default; scalar for A/B runs).
-  exec::KernelConfig kernels;
-  /// Result cache (DESIGN.md §14). The single-query mediator wires a
-  /// fresh per-run CacheManager, so every Execute is a cold run: the
-  /// admission/lookup paths are exercised, but Execute keeps its
-  /// "same mediator + strategy = same metrics" contract. Warm reuse lives
-  /// in the multi-query and fleet drivers, which persist their caches.
-  CacheConfig cache;
 };
 
 /// An integration query ready to execute.
@@ -95,35 +71,24 @@ class Mediator {
   /// The analytic lower bound LWB (paper Section 5.1.2).
   LwbBreakdown LowerBound() const;
 
-  const wrapper::Catalog& catalog() const { return catalog_; }
-  const plan::CompiledPlan& compiled() const { return compiled_; }
-  const plan::ReferenceResult& reference() const { return reference_; }
-  const std::vector<storage::Relation>& data() const { return data_; }
-  const MediatorConfig& config() const { return config_; }
+  const wrapper::Catalog& catalog() const { return query_.catalog; }
+  const plan::ReferenceResult& reference() const { return query_.reference; }
 
  private:
   Result<TracedExecution> ExecuteWithOptions(StrategyKind kind,
                                              bool trace) const;
   void SetupContext(exec::ExecContext& ctx) const;
-  Status VerifyAgainstReference(const ExecutionMetrics& metrics,
-                                const char* label) const;
+  /// The answer check, unless verification is off or the run is partial.
+  Status Verify(const ExecutionMetrics& metrics, const char* label) const;
 
-  Mediator(wrapper::Catalog catalog, MediatorConfig config,
-           plan::CompiledPlan compiled, std::vector<storage::Relation> data,
-           plan::ReferenceResult reference,
+  Mediator(MediatorConfig config, PreparedQuery query,
            std::vector<double> realized_retrieval_ns)
-      : catalog_(std::move(catalog)),
-        config_(std::move(config)),
-        compiled_(std::move(compiled)),
-        data_(std::move(data)),
-        reference_(std::move(reference)),
+      : config_(std::move(config)),
+        query_(std::move(query)),
         realized_retrieval_ns_(std::move(realized_retrieval_ns)) {}
 
-  wrapper::Catalog catalog_;
   MediatorConfig config_;
-  plan::CompiledPlan compiled_;
-  std::vector<storage::Relation> data_;
-  plan::ReferenceResult reference_;
+  PreparedQuery query_;
   /// Per-source realized total delivery time (sum of this seed's actual
   /// delay draws), nanoseconds — makes the LWB tight per workload.
   std::vector<double> realized_retrieval_ns_;

@@ -3,33 +3,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
 #include "core/execution_state.h"
 #include "core/shared_loop.h"
 #include "exec/exec_context.h"
-#include "wrapper/wrapper.h"
 
 namespace dqsched::core {
-
-namespace {
-
-uint64_t MixSeed(uint64_t base, uint64_t a, uint64_t b) {
-  return storage::Mix64(base ^ (a + 1) * 0x9e3779b97f4a7c15ULL ^
-                        (b + 1) * 0xc2b2ae3d27d4eb4fULL);
-}
-
-/// Returns the cache's reclaimable grant before the accountant it was
-/// charged to dies, on every exit path.
-struct CacheDetach {
-  CacheManager* cache = nullptr;
-  ~CacheDetach() {
-    if (cache != nullptr) cache->DetachAccountant();
-  }
-};
-
-}  // namespace
 
 const char* MultiModeName(MultiMode mode) {
   switch (mode) {
@@ -43,44 +25,43 @@ const char* MultiModeName(MultiMode mode) {
 
 Result<MultiQueryMediator> MultiQueryMediator::Create(
     std::vector<plan::QuerySetup> setups, MultiQueryConfig config) {
-  DQS_RETURN_IF_ERROR(config.cost.Validate());
+  DQS_RETURN_IF_ERROR(config.Validate());
   if (setups.empty()) {
     return Status::InvalidArgument("no queries in the mix");
   }
-  if (config.memory_budget_bytes <= 0 || config.slice_batches <= 0) {
-    return Status::InvalidArgument("budget and slice must be > 0");
+  if (config.slice_batches <= 0) {
+    return Status::InvalidArgument("slice must be > 0");
   }
 
   std::vector<PreparedQuery> prepared;
   SourceId offset = 0;
   for (size_t qi = 0; qi < setups.size(); ++qi) {
-    plan::QuerySetup& setup = setups[qi];
-    PreparedQuery q;
-    Result<plan::CompiledPlan> compiled =
-        plan::Compile(setup.plan, setup.catalog);
-    if (!compiled.ok()) return compiled.status();
-    q.compiled = std::move(compiled.value());
-    DQS_RETURN_IF_ERROR(
-        plan::Annotate(&q.compiled, setup.catalog, config.cost));
-
-    q.data.reserve(static_cast<size_t>(setup.catalog.num_sources()));
-    for (SourceId s = 0; s < setup.catalog.num_sources(); ++s) {
-      q.data.push_back(storage::GenerateRelation(
-          setup.catalog.source(s).relation, offset + s,
-          Rng(MixSeed(config.seed, qi, static_cast<uint64_t>(s)))));
-    }
-    q.reference = plan::ExecuteReference(q.compiled, q.data);
-
+    Result<PreparedQuery> q = PrepareQuery(
+        std::move(setups[qi].catalog), setups[qi].plan, config.cost,
+        SeedPolicy::MixQuery(config.seed, static_cast<int>(qi), offset));
+    if (!q.ok()) return q.status();
     // Remap chain sources into the shared mediator's global id space.
-    q.source_offset = offset;
-    for (plan::ChainInfo& chain : q.compiled.chains) {
-      chain.source += offset;
-    }
-    offset += setup.catalog.num_sources();
-    q.catalog = std::move(setup.catalog);
-    prepared.push_back(std::move(q));
+    for (plan::ChainInfo& chain : q->compiled.chains) chain.source += offset;
+    offset += q->catalog.num_sources();
+    prepared.push_back(std::move(q.value()));
   }
   return MultiQueryMediator(std::move(prepared), std::move(config));
+}
+
+CacheManager* MultiQueryMediator::BeginCacheRun() const {
+  if (!config_.cache.enabled) return nullptr;
+  if (cache_ == nullptr) cache_ = std::make_unique<CacheManager>(config_.cache);
+  cache_->BeginRun();
+  return cache_.get();
+}
+
+void MultiQueryMediator::AddAllWrappers(exec::ExecContext& ctx) const {
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    AddWrappers(ctx, queries_[qi],
+                SeedPolicy::MixQuery(config_.seed, static_cast<int>(qi),
+                                     ctx.comm.num_sources()),
+                /*hold=*/false);
+  }
 }
 
 Result<MultiQueryMetrics> MultiQueryMediator::Execute(StrategyKind strategy,
@@ -95,18 +76,13 @@ Result<MultiQueryMetrics> MultiQueryMediator::Execute(StrategyKind strategy,
 
 Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
     StrategyKind strategy) const {
-  CacheManager* cache = nullptr;
-  if (config_.cache.enabled) {
-    if (cache_ == nullptr) {
-      cache_ = std::make_unique<CacheManager>(config_.cache);
-    }
-    cache = cache_.get();
-    cache->BeginRun();
-  }
+  CacheManager* const cache = BeginCacheRun();
   MultiQueryMetrics out;
   SimDuration offset = 0;
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     const PreparedQuery& q = queries_[qi];
+    const std::string what =
+        "query " + std::to_string(qi) + " of the serial mix";
     if (cache != nullptr) {
       // Whole-query result hit: the answer is served instantly, no
       // context is even built — the query's user waits zero virtual time
@@ -114,12 +90,9 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
       int64_t hit_count = 0;
       uint64_t hit_checksum = 0;
       if (cache->LookupResult(q.compiled, &hit_count, &hit_checksum)) {
-        if (config_.verify_results &&
-            (hit_count != q.reference.result_card ||
-             hit_checksum != q.reference.checksum.value())) {
-          return Status::Internal(
-              "serial multi-query cached result mismatch in query " +
-              std::to_string(qi));
+        if (config_.verify_results) {
+          DQS_RETURN_IF_ERROR(
+              q.CheckAnswer(hit_count, hit_checksum, "cached " + what));
         }
         out.response_times.push_back(offset);
         out.statuses.push_back(QueryStatus::kOk);
@@ -129,39 +102,18 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
     }
     exec::ExecContext ctx(&config_.cost, config_.comm,
                           config_.memory_budget_bytes);
-    // Every wrapper registers (global ids must resolve), but only this
-    // query's are consumed; the window protocol holds the others.
-    for (size_t qj = 0; qj < queries_.size(); ++qj) {
-      const PreparedQuery& other = queries_[qj];
-      for (SourceId s = 0; s < other.catalog.num_sources(); ++s) {
-        ctx.comm.AddSource(
-            std::make_unique<wrapper::SimWrapper>(
-                other.source_offset + s,
-                &other.data[static_cast<size_t>(s)],
-                other.catalog.source(s).delay,
-                MixSeed(config_.seed, qj, static_cast<uint64_t>(s) + 977)),
-            static_cast<double>(config_.cost.MinWaitingTime()));
-      }
-    }
+    AddAllWrappers(ctx);
     ExecutionOptions options = OptionsFor(strategy);
     options.kernels = config_.kernels;
     options.cache = cache;
-    // Destroyed before ctx: the reclaimable grant must leave the
-    // accountant while it still exists.
-    CacheDetach detach;
-    if (cache != nullptr) {
-      cache->AttachAccountant(&ctx.memory);
-      detach.cache = cache;
-    }
+    CacheRunScope cache_run(cache, &ctx.memory, /*begin_run=*/false);
     ExecutionState state(&q.compiled, &ctx, options);
     Result<ExecutionMetrics> metrics =
         RunStrategy(strategy, state, ctx, config_.strategy);
     if (!metrics.ok()) return metrics.status();
-    if (config_.verify_results &&
-        (metrics->result_count != q.reference.result_card ||
-         metrics->result_checksum != q.reference.checksum.value())) {
-      return Status::Internal("serial multi-query result mismatch in query " +
-                              std::to_string(qi));
+    if (config_.verify_results) {
+      DQS_RETURN_IF_ERROR(q.CheckAnswer(metrics->result_count,
+                                        metrics->result_checksum, what));
     }
     if (cache != nullptr) {
       cache->AdmitQuery(state, ctx, !metrics->fault.partial_result);
@@ -191,35 +143,12 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
 
 Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
     StrategyKind strategy) const {
-  CacheManager* cache = nullptr;
-  if (config_.cache.enabled) {
-    if (cache_ == nullptr) {
-      cache_ = std::make_unique<CacheManager>(config_.cache);
-    }
-    cache = cache_.get();
-    cache->BeginRun();
-  }
+  CacheManager* const cache = BeginCacheRun();
   const int nq = num_queries();
   exec::ExecContext ctx(&config_.cost, config_.comm,
                         config_.memory_budget_bytes);
-  // Destroyed before ctx: the reclaimable grant must leave the
-  // accountant while it still exists.
-  CacheDetach detach;
-  if (cache != nullptr) {
-    cache->AttachAccountant(&ctx.memory);
-    detach.cache = cache;
-  }
-  for (size_t qj = 0; qj < queries_.size(); ++qj) {
-    const PreparedQuery& other = queries_[qj];
-    for (SourceId s = 0; s < other.catalog.num_sources(); ++s) {
-      ctx.comm.AddSource(
-          std::make_unique<wrapper::SimWrapper>(
-              other.source_offset + s, &other.data[static_cast<size_t>(s)],
-              other.catalog.source(s).delay,
-              MixSeed(config_.seed, qj, static_cast<uint64_t>(s) + 977)),
-          static_cast<double>(config_.cost.MinWaitingTime()));
-    }
-  }
+  CacheRunScope cache_run(cache, &ctx.memory, /*begin_run=*/false);
+  AddAllWrappers(ctx);
 
   SharedQueryLoop::Options loop_options;
   loop_options.strategy = strategy;
@@ -229,12 +158,14 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   loop_options.kernels = config_.kernels;
   loop_options.cache = cache;
   SharedQueryLoop loop(&ctx, loop_options);
+  SourceId lo = 0;
   for (int qi = 0; qi < nq; ++qi) {
     const PreparedQuery& q = queries_[static_cast<size_t>(qi)];
     SharedQueryDesc desc;
     desc.compiled = &q.compiled;
-    desc.source_lo = q.source_offset;
-    desc.source_hi = q.source_offset + q.catalog.num_sources();
+    desc.source_lo = lo;
+    lo += q.catalog.num_sources();
+    desc.source_hi = lo;
     if (cache != nullptr) {
       // Whole-query result hit: the slot joins already answered and never
       // enters the rotation; its wrappers are never drained.
@@ -276,13 +207,11 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   out.makespan = ctx.clock.now();
   SimDuration sum = 0;
   for (int qi = 0; qi < nq; ++qi) {
-    const PreparedQuery& q = queries_[static_cast<size_t>(qi)];
     const exec::ResultCollector& result = loop.result(qi);
-    if (config_.verify_results &&
-        (result.count() != q.reference.result_card ||
-         result.checksum().value() != q.reference.checksum.value())) {
-      return Status::Internal("shared multi-query result mismatch in query " +
-                              std::to_string(qi));
+    if (config_.verify_results) {
+      DQS_RETURN_IF_ERROR(queries_[static_cast<size_t>(qi)].CheckAnswer(
+          result.count(), result.checksum().value(),
+          "query " + std::to_string(qi) + " of the shared mix"));
     }
     out.response_times.push_back(loop.done_at(qi));
     out.statuses.push_back(QueryStatus::kOk);
@@ -297,18 +226,7 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   out.disk = ctx.disk.stats();
   out.network = ctx.net.stats();
   out.temps = ctx.temps.stats();
-  out.fault.sources_suspected = ctx.comm.fault_suspicions();
-  out.fault.sources_dead = ctx.comm.fault_declared_dead();
-  out.fault.recoveries = ctx.comm.fault_recoveries();
-  out.fault.replays_discarded = ctx.comm.replay_discarded_total();
-  for (SourceId s = 0; s < ctx.comm.num_sources(); ++s) {
-    const wrapper::FaultInjectionStats* fs = ctx.comm.wrapper(s).fault_stats();
-    if (fs == nullptr) continue;
-    out.fault.stalls_injected += fs->stalls;
-    out.fault.disconnects_injected += fs->disconnects;
-    out.fault.reconnects += fs->reconnects;
-    if (fs->died) ++out.fault.sources_killed;
-  }
+  out.fault = ContextFaults(ctx.comm);
   if (cache != nullptr) out.cache = cache->stats();
   return out;
 }

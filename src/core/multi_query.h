@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "core/cache_manager.h"
-#include "core/mediator.h"
+#include "core/engine.h"
 #include "core/metrics.h"
 #include "core/strategy.h"
 #include "plan/canonical_plans.h"
@@ -39,15 +39,9 @@ enum class MultiMode {
 const char* MultiModeName(MultiMode mode);
 
 /// Configuration of a multi-query mediator.
-struct MultiQueryConfig {
-  sim::CostModel cost;
-  int64_t memory_budget_bytes = 256LL * 1024 * 1024;
-  comm::CommConfig comm;
-  StrategyConfig strategy;
+struct MultiQueryConfig : EngineConfig {
   /// Batches one query executes before yielding to the next (kShared).
   int64_t slice_batches = 32;
-  uint64_t seed = 42;
-  bool verify_results = true;
   /// kShared: route a RateChange replan only to the queries actually
   /// reading the drifting source (CommManager::LastRateChangeSource)
   /// instead of replanning the query that happened to observe it.
@@ -55,13 +49,6 @@ struct MultiQueryConfig {
   /// metrics; off by default to keep the baseline byte-identical
   /// (DESIGN.md §9).
   bool targeted_replans = false;
-  /// Operator kernels (vectorized by default; scalar for A/B runs).
-  exec::KernelConfig kernels;
-  /// Result cache (DESIGN.md §14). Entries admitted in one Execute become
-  /// visible to the next Execute on the same mediator (epoch gating), so
-  /// a single run is byte-identical to cache=off on every non-wall metric
-  /// except the CacheStats counters themselves.
-  CacheConfig cache;
 };
 
 /// Results of one multi-query execution.
@@ -125,21 +112,22 @@ class MultiQueryMediator {
   void BumpCacheVersion(int64_t logical_key) const;
 
  private:
-  struct PreparedQuery {
-    wrapper::Catalog catalog;
-    plan::CompiledPlan compiled;  // chain sources remapped to global ids
-    std::vector<storage::Relation> data;
-    plan::ReferenceResult reference;
-    SourceId source_offset = 0;
-  };
-
   MultiQueryMediator(std::vector<PreparedQuery> queries,
                      MultiQueryConfig config)
       : queries_(std::move(queries)), config_(std::move(config)) {}
 
   Result<MultiQueryMetrics> ExecuteShared(StrategyKind strategy) const;
   Result<MultiQueryMetrics> ExecuteSerial(StrategyKind strategy) const;
+  /// The cache for this Execute (created on first use), with its run
+  /// begun; null when caching is off.
+  CacheManager* BeginCacheRun() const;
+  /// Registers every query's wrappers (global ids must resolve, though a
+  /// serial run consumes only one query's; the window protocol holds the
+  /// others).
+  void AddAllWrappers(exec::ExecContext& ctx) const;
 
+  /// Chain sources remapped to global ids: query q's sources follow
+  /// queries 0..q-1's.
   std::vector<PreparedQuery> queries_;
   MultiQueryConfig config_;
   /// Created lazily on the first cache-enabled Execute and retained

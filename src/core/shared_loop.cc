@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#ifdef DQS_MQ_DEBUG
-#include <cstdio>
-#endif
-
 #include "common/macros.h"
 
 namespace dqsched::core {
@@ -180,16 +176,6 @@ Result<SharedQueryLoop::Turn> SharedQueryLoop::Step() {
   }
   Result<Event> evt = run.dqp->RunPhase(*run.state, run.sp, *ctx_);
   if (!evt.ok()) return evt.status();
-#ifdef DQS_MQ_DEBUG
-  if ((guard_ & ((1LL << 20) - 1)) == 0) {
-    std::fprintf(stderr,
-                 "[mq] it=%lld t=%.6fms q=%d evt=%s frag=%d streak=%d "
-                 "act=%d heap=%zu\n",
-                 static_cast<long long>(guard_), ToMillis(ctx_->clock.now()),
-                 cur, EventKindName(evt->kind), evt->fragment,
-                 starved_streak_, active_, arrival_heap_.size());
-  }
-#endif
   Turn turn;
   if (evt->kind != EventKind::kStarved) starved_streak_ = 0;
   switch (evt->kind) {

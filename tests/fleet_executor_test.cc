@@ -246,6 +246,24 @@ TEST(FleetExecutor, CreateValidates) {
   negative[0].arrival = -1;
   EXPECT_FALSE(
       FleetExecutor::Create(TinyTemplates(), negative, SmallConfig()).ok());
+  // A zero batch size would spin the shard loops toward the livelock guard.
+  bad = SmallConfig();
+  bad.strategy.dqp.batch_size = 0;
+  EXPECT_FALSE(FleetExecutor::Create(TinyTemplates(), Stream(2), bad).ok());
+  // The fleet injects faults only through FleetConfig::storm; a catalog
+  // schedule is refused instead of silently dropped.
+  std::vector<plan::QuerySetup> faulty = TinyTemplates();
+  wrapper::FaultSpec death;
+  death.kind = wrapper::FaultKind::kDeath;
+  death.at_tuple = 500;
+  faulty[0].catalog.sources[1].faults.events = {death};
+  Result<FleetExecutor> fleet =
+      FleetExecutor::Create(std::move(faulty), Stream(2), SmallConfig());
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fleet.status().message().find(
+                TinyTemplates()[0].catalog.sources[1].relation.name),
+            std::string::npos);
 }
 
 TEST(FleetExecutor, MaIsRejected) {

@@ -32,6 +32,24 @@ TEST(MultiQuery, CreateValidates) {
   MultiQueryConfig bad = SmallConfig();
   bad.slice_batches = 0;
   EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
+  // A zero batch size would spin the shared loop toward its livelock guard.
+  bad = SmallConfig();
+  bad.strategy.dqp.batch_size = 0;
+  EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
+  // Catalog fault schedules are a single-query-mediator feature; the mix
+  // must refuse one instead of running the source fault-free.
+  std::vector<plan::QuerySetup> faulty = MixOfTinyQueries(2);
+  wrapper::FaultSpec death;
+  death.kind = wrapper::FaultKind::kDeath;
+  death.at_tuple = 500;
+  faulty[1].catalog.sources[0].faults.events = {death};
+  Result<MultiQueryMediator> m =
+      MultiQueryMediator::Create(std::move(faulty), SmallConfig());
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(m.status().message().find(
+                MixOfTinyQueries(2)[1].catalog.sources[0].relation.name),
+            std::string::npos);
 }
 
 TEST(MultiQuery, MaIsRejected) {

@@ -2,9 +2,8 @@
 """dqs_analyze — C++-aware static analysis for the dqsched tree.
 
 One analyzer, one marker syntax, one findings format. Runs as the
-`dqs_analyze` ctest (full rule set) and behind the `dqs_lint` ctest
-(legacy rule subset, via tools/dqs_lint.py). Unlike the line-regex linter
-it replaces, it works on a token stream from a real C++ lexer (comments
+`dqs_analyze` ctest (full rule set). Unlike the line-regex linter it
+replaced, it works on a token stream from a real C++ lexer (comments
 and string literals can never produce findings, member calls are
 distinguished from free calls and declarations) and on a cross-file
 include graph (layer violations and include cycles are graph properties,
@@ -73,12 +72,12 @@ exactly two reviewed points):
                    core/cache_manager.h, and the ResultCache /
                    CacheManager names) may appear only in the cache
                    files themselves and the blessed integration sites
-                   (dqs, shared loop, execution state, and the three
-                   drivers); a new consumer anywhere else would add an
-                   unreviewed hit point and erode the off-vs-cold
-                   byte-identity argument.
+                   (dqs, shared loop, execution state, the engine core,
+                   and the three drivers); a new consumer anywhere else
+                   would add an unreviewed hit point and erode the
+                   off-vs-cold byte-identity argument.
 
-legacy conventions (ported from dqs_lint.py, same semantics):
+conventions (ported from the old regex linter, same semantics):
   guard            include guards are DQSCHED_<REL_PATH>_H_ with a
                    matching `#endif  // ...` trailer
   own-header       every src/**/*.cc with a sibling header includes it
@@ -179,7 +178,8 @@ BREAKER_NAMES = {"CircuitBreaker", "BreakerPanel"}
 # mechanism (storage/result_cache.*), the policy (core/cache_manager.*),
 # and the blessed integration sites — the two scheduler touchpoints
 # (plan-time segment hits in dqs.cc, result-digest hits via the shared
-# loop / execution state) and the three drivers that own a CacheManager's
+# loop / execution state), the engine core whose shared config carries
+# the CacheConfig, and the three drivers that own a CacheManager's
 # lifetime. Any other file taking a cache dependency would add an
 # unreviewed hit point outside the epoch-gating argument.
 CACHE_BLESSED = {
@@ -188,6 +188,7 @@ CACHE_BLESSED = {
     "core/dqs.cc",
     "core/execution_state.h",
     "core/shared_loop.h",
+    "core/engine.h",
     "core/mediator.h", "core/mediator.cc",
     "core/multi_query.h", "core/multi_query.cc",
     "core/fleet_executor.h", "core/fleet_executor.cc",
@@ -485,11 +486,6 @@ class SourceFile:
 # --------------------------------------------------------------------------
 
 RULES = {}  # name -> (scope, fn); scope in {"file", "tree"}
-LEGACY_RULES = (
-    "guard", "own-header", "nodiscard", "check-on-input", "raw-abort",
-    "using-std", "queue-push", "kernel-push", "timeout-type",
-    "ancestors-index",
-)
 
 
 def rule(name, scope):
@@ -972,7 +968,8 @@ def check_cache_affinity(an, f):
 
 
 # --------------------------------------------------------------------------
-# Legacy rules (ported from dqs_lint.py onto the shared infrastructure).
+# Convention rules (ported from the old regex linter onto the shared
+# infrastructure).
 # --------------------------------------------------------------------------
 
 
@@ -1282,8 +1279,6 @@ def main(argv=None):
                         help="repository root (containing src/)")
     parser.add_argument("--rules",
                         help="comma-separated rule subset (default: all)")
-    parser.add_argument("--legacy-only", action="store_true",
-                        help="run only the ten rules ported from dqs_lint")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", metavar="FIXTURES_DIR",
                         help="run the golden-finding fixture suite")
@@ -1292,15 +1287,12 @@ def main(argv=None):
     if args.list_rules:
         for name in sorted(RULES):
             scope, _ = RULES[name]
-            legacy = " (legacy)" if name in LEGACY_RULES else ""
-            print(f"{name:16s} {scope}{legacy}")
+            print(f"{name:16s} {scope}")
         return 0
     if args.self_test:
         return self_test(args.self_test)
     rules = None
-    if args.legacy_only:
-        rules = list(LEGACY_RULES)
-    elif args.rules:
+    if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     return run(args.root, rules)
 
