@@ -7,6 +7,12 @@
 
 namespace dqsched::comm {
 
+CommManager::CommManager(const CommConfig& config) : config_(config) {
+  DQS_CHECK_MSG(config_.rate_change_ratio >= 1.0,
+                "rate_change_ratio must be >= 1 (got %g)",
+                config_.rate_change_ratio);
+}
+
 void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
                             double prior_wait_ns) {
   DQS_CHECK_MSG(w->id() == num_sources(),
@@ -21,8 +27,17 @@ void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
   snapshots_.push_back(PlanSnapshot{prior_wait_ns, 0});
   fault_state_.emplace_back();
   heap_key_.push_back(kSimTimeNever);
+  liveness_key_.push_back(kSimTimeNever);
   source_version_.push_back(0);
   const size_t i = wrappers_.size() - 1;
+  // The registration snapshot holds the raw prior, which the estimator
+  // reports clamped to >= 1 ns: list the source until a check or a
+  // snapshot settles it.
+  for (SourceSet* list :
+       {&warmup_candidates_, &ratio_candidates_, &stale_snapshots_}) {
+    list->listed.push_back(0);
+    list->Add(i);
+  }
   if (wrappers_[i]->Exhausted()) {
     // Empty relation: the stream closes without any push (previously done
     // lazily by the first pump).
@@ -44,9 +59,18 @@ void CommManager::StartSource(SourceId source, SimTime now) {
 
 void CommManager::SyncSource(size_t i) {
   const SimTime key = wrappers_[i]->NextArrival();
-  if (key == heap_key_[i]) return;
-  heap_key_[i] = key;
-  if (key != kSimTimeNever) heap_.emplace(key, static_cast<int>(i));
+  if (key != heap_key_[i]) {
+    heap_key_[i] = key;
+    if (key != kSimTimeNever) heap_.emplace(key, static_cast<int>(i));
+  }
+  if (config_.failure_detection) SyncLiveness(i);
+}
+
+void CommManager::SyncLiveness(size_t i) {
+  const SimTime key = LivenessDeadline(i);
+  if (key == liveness_key_[i]) return;
+  liveness_key_[i] = key;
+  if (key != kSimTimeNever) liveness_heap_.emplace(key, static_cast<int>(i));
 }
 
 void CommManager::PumpSource(size_t i, SimTime now) {
@@ -54,11 +78,7 @@ void CommManager::PumpSource(size_t i, SimTime now) {
   const int64_t before = q.total_pushed();
   const SimTime arrival_before = wrappers_[i]->NextArrival();
   wrappers_[i]->PumpInto(q, now, estimators_[i].get());
-  if (q.total_pushed() != before) {
-    ++est_version_;
-    ++source_version_[i];
-    if (config_.failure_detection) OnDelivery(i);
-  }
+  if (q.total_pushed() != before) OnDelivery(i);
   if (wrappers_[i]->has_faults()) {
     IngestReplayWindows(i);
     // A replayed duplicate run at the queue head will never be consumed,
@@ -71,9 +91,7 @@ void CommManager::PumpSource(size_t i, SimTime now) {
       const int64_t b = q.total_pushed();
       wrappers_[i]->PumpInto(q, now, estimators_[i].get());
       if (q.total_pushed() == b) break;
-      ++est_version_;
-      ++source_version_[i];
-      if (config_.failure_detection) OnDelivery(i);
+      OnDelivery(i);
       IngestReplayWindows(i);
     }
   }
@@ -153,66 +171,89 @@ int64_t CommManager::RemainingTuples(SourceId source) const {
 }
 
 void CommManager::MarkPlanned(SimTime) {
-  for (size_t i = 0; i < estimators_.size(); ++i) {
+  // A source that has not delivered since its snapshot still matches it.
+  for (const int s : stale_snapshots_.sources) {
+    const auto i = static_cast<size_t>(s);
     snapshots_[i].wait_ns = estimators_[i]->MeanInterArrivalNs();
     snapshots_[i].samples = estimators_[i]->samples();
     snapshots_[i].warm = estimators_[i]->warm();
   }
-  ++est_version_;  // snapshots changed: invalidate the memoized verdict
+  stale_snapshots_.Clear();
+  // Every source now matches its snapshot, so none can fire (warm equals
+  // the snapshot's, no samples since it, and a ratio >= 1 holds the equal
+  // estimate inside the band) until it delivers again.
+  warmup_candidates_.Clear();
+  ratio_candidates_.Clear();
+}
+
+bool CommManager::WarmupFires(size_t i) const {
+  // A source planned on its prior has since produced real observations:
+  // the plan's estimates are stale by construction.
+  return !wrappers_[i]->Exhausted() && !snapshots_[i].warm &&
+         estimators_[i]->warm();
+}
+
+bool CommManager::RatioFires(size_t i) const {
+  const RateEstimator& est = *estimators_[i];
+  if (wrappers_[i]->Exhausted()) return false;
+  if (est.samples() - snapshots_[i].samples <
+      config_.rate_change_min_samples) {
+    return false;
+  }
+  const double ref = snapshots_[i].wait_ns;
+  const double cur = est.MeanInterArrivalNs();
+  return cur > ref * config_.rate_change_ratio ||
+         cur < ref / config_.rate_change_ratio;
+}
+
+bool CommManager::InCooldown(SimTime now) const {
+  return last_signal_ >= 0 && now - last_signal_ < config_.rate_change_cooldown;
 }
 
 bool CommManager::RateChangedSincePlan(SimTime now) {
-  // The verdict below is a pure function of estimator states, snapshots,
-  // and the cooldown gate. When nothing was delivered and no snapshot was
-  // taken since a *full* evaluation that returned false, it cannot have
-  // flipped: the loops see identical state, and the cooldown gate only
-  // ever suppresses (it was passed in that evaluation, and the elapsed
-  // time since last_signal_ has only grown).
-  if (memo_full_eval_ && est_version_ == memo_version_) return false;
+  // Both predicates read only the source's estimator, its snapshot, and
+  // Exhausted (which never reverts). A source that evaluated false
+  // therefore stays false until it delivers or a snapshot is taken, so
+  // each list holds every source that could fire, and the lowest firing
+  // id is the one a scan over all sources would pick.
+  //
   // Warm-up transitions are exempt from the cooldown: each fires at most
   // once per source, and deferring them would delay the scheduler's first
   // informed degradation decisions.
+  SourceId fired = warmup_candidates_.KeepIf(
+      [this](size_t i) { return WarmupFires(i); });
+  // A call suppressed by the cooldown leaves the ratio list alone.
+  if (fired == kInvalidId && !InCooldown(now)) {
+    fired = ratio_candidates_.KeepIf(
+        [this](size_t i) { return RatioFires(i); });
+  }
+  DQS_DCHECK_MSG(fired == ScanRateChangeSource(now),
+                 "rate-change candidates picked source %d, the scan %d",
+                 fired, ScanRateChangeSource(now));
+  if (fired == kInvalidId) return false;
+  last_signal_ = now;
+  last_signal_source_ = fired;
+  ++rate_change_signals_;
+  return true;
+}
+
+SourceId CommManager::ScanRateChangeSource(SimTime now) const {
   for (size_t i = 0; i < estimators_.size(); ++i) {
-    if (wrappers_[i]->Exhausted()) continue;
-    // A source planned on its prior has since produced real observations:
-    // the plan's estimates are stale by construction.
-    if (!snapshots_[i].warm && estimators_[i]->warm()) {
-      last_signal_ = now;
-      last_signal_source_ = static_cast<SourceId>(i);
-      ++rate_change_signals_;
-      memo_full_eval_ = false;
-      return true;
-    }
+    if (WarmupFires(i)) return static_cast<SourceId>(i);
   }
-  if (last_signal_ >= 0 && now - last_signal_ < config_.rate_change_cooldown) {
-    // Suppressed before the ratio loop ran: not a full evaluation.
-    memo_full_eval_ = false;
-    return false;
-  }
+  if (InCooldown(now)) return kInvalidId;
   for (size_t i = 0; i < estimators_.size(); ++i) {
-    const auto& est = *estimators_[i];
-    if (wrappers_[i]->Exhausted()) continue;
-    if (est.samples() - snapshots_[i].samples <
-        config_.rate_change_min_samples) {
-      continue;
-    }
-    const double ref = snapshots_[i].wait_ns;
-    const double cur = est.MeanInterArrivalNs();
-    if (cur > ref * config_.rate_change_ratio ||
-        cur < ref / config_.rate_change_ratio) {
-      last_signal_ = now;
-      last_signal_source_ = static_cast<SourceId>(i);
-      ++rate_change_signals_;
-      memo_full_eval_ = false;
-      return true;
-    }
+    if (RatioFires(i)) return static_cast<SourceId>(i);
   }
-  memo_version_ = est_version_;
-  memo_full_eval_ = true;
-  return false;
+  return kInvalidId;
 }
 
 void CommManager::OnDelivery(size_t i) {
+  ++source_version_[i];
+  warmup_candidates_.Add(i);
+  ratio_candidates_.Add(i);
+  stale_snapshots_.Add(i);
+  if (!config_.failure_detection) return;
   SourceFaultState& fs = fault_state_[i];
   // The wrapper's finished_at is the virtual arrival timestamp of its last
   // delivered tuple — precise, and independent of when the pump ran.
@@ -309,31 +350,74 @@ bool CommManager::WatchedForLiveness(size_t i) const {
   const SourceFaultState& fs = fault_state_[i];
   if (fs.abandoned || fs.health == Health::kDead) return false;
   // A suspended wrapper is silent because of mediator backpressure, not a
-  // fault, and an exhausted one is done; neither is watched.
+  // fault, and an exhausted one is done; neither is watched. A held one
+  // is (DESIGN.md §8).
   return !wrappers_[i]->Exhausted() && !wrappers_[i]->Suspended();
+}
+
+SimTime CommManager::LivenessDeadline(size_t i) const {
+  if (!WatchedForLiveness(i)) return kSimTimeNever;
+  const SourceFaultState& fs = fault_state_[i];
+  return fs.last_arrival + (fs.health == Health::kHealthy ? SuspectTimeout(i)
+                                                          : DeadTimeout(i));
+}
+
+void CommManager::AdvanceLiveness(size_t i, SimTime now) {
+  SourceFaultState& fs = fault_state_[i];
+  const SimDuration silence = now - fs.last_arrival;
+  if (fs.health == Health::kHealthy && silence >= SuspectTimeout(i)) {
+    fs.health = Health::kSuspected;
+    ++suspicions_;
+    ++source_version_[i];
+    fault_signals_.push_back(
+        FaultSignal{FaultSignal::Kind::kDown, static_cast<SourceId>(i)});
+  }
+  if (fs.health == Health::kSuspected && silence >= DeadTimeout(i)) {
+    fs.health = Health::kDead;
+    ++declared_dead_;
+    ++source_version_[i];
+    fault_signals_.push_back(
+        FaultSignal{FaultSignal::Kind::kDead, static_cast<SourceId>(i)});
+  }
 }
 
 void CommManager::UpdateFaultState(SimTime now) {
   if (!config_.failure_detection) return;
+  // Every input of a source's deadline changes only where SyncSource runs
+  // or a transition below happens, so the heap's due entries are exactly
+  // the sources a scan would transition. Consuming an entry clears its
+  // live key, which also skips any duplicate entry with the same key.
+  due_.clear();
+  while (!liveness_heap_.empty() && liveness_heap_.top().first <= now) {
+    const auto [key, i] = liveness_heap_.top();
+    liveness_heap_.pop();
+    if (key != liveness_key_[static_cast<size_t>(i)]) continue;  // stale
+    liveness_key_[static_cast<size_t>(i)] = kSimTimeNever;
+    due_.push_back(i);
+  }
+  // Signals go out in the scan's source-id order.
+  std::sort(due_.begin(), due_.end());
+  DQS_DCHECK_MSG(due_ == ScanDueSources(now),
+                 "liveness heap found %zu due sources, the scan %zu",
+                 due_.size(), ScanDueSources(now).size());
+  for (const int i : due_) {
+    AdvanceLiveness(static_cast<size_t>(i), now);
+    SyncLiveness(static_cast<size_t>(i));
+  }
+}
+
+std::vector<int> CommManager::ScanDueSources(SimTime now) const {
+  std::vector<int> due;
   for (size_t i = 0; i < wrappers_.size(); ++i) {
     if (!WatchedForLiveness(i)) continue;
-    SourceFaultState& fs = fault_state_[i];
+    const SourceFaultState& fs = fault_state_[i];
     const SimDuration silence = now - fs.last_arrival;
-    if (fs.health == Health::kHealthy && silence >= SuspectTimeout(i)) {
-      fs.health = Health::kSuspected;
-      ++suspicions_;
-      ++source_version_[i];
-      fault_signals_.push_back(
-          FaultSignal{FaultSignal::Kind::kDown, static_cast<SourceId>(i)});
-    }
-    if (fs.health == Health::kSuspected && silence >= DeadTimeout(i)) {
-      fs.health = Health::kDead;
-      ++declared_dead_;
-      ++source_version_[i];
-      fault_signals_.push_back(
-          FaultSignal{FaultSignal::Kind::kDead, static_cast<SourceId>(i)});
+    if (silence >= (fs.health == Health::kHealthy ? SuspectTimeout(i)
+                                                  : DeadTimeout(i))) {
+      due.push_back(static_cast<int>(i));
     }
   }
+  return due;
 }
 
 bool CommManager::TakeFaultSignal(FaultSignal* out) {
@@ -343,8 +427,25 @@ bool CommManager::TakeFaultSignal(FaultSignal* out) {
   return true;
 }
 
-SimTime CommManager::NextFaultDeadline(SimTime now) const {
+SimTime CommManager::NextFaultDeadline(SimTime now) {
   if (!config_.failure_detection) return kSimTimeNever;
+  while (!liveness_heap_.empty() &&
+         liveness_heap_.top().first !=
+             liveness_key_[static_cast<size_t>(liveness_heap_.top().second)]) {
+    liveness_heap_.pop();  // stale
+  }
+  // A threshold already crossed fires on the very next detector run.
+  const SimTime next = liveness_heap_.empty()
+                           ? kSimTimeNever
+                           : std::max(liveness_heap_.top().first, now + 1);
+  DQS_DCHECK_MSG(next == ScanFaultDeadline(now),
+                 "liveness heap deadline %lld, the scan %lld",
+                 static_cast<long long>(next),
+                 static_cast<long long>(ScanFaultDeadline(now)));
+  return next;
+}
+
+SimTime CommManager::ScanFaultDeadline(SimTime now) const {
   SimTime next = kSimTimeNever;
   for (size_t i = 0; i < wrappers_.size(); ++i) {
     if (!WatchedForLiveness(i)) continue;
@@ -381,8 +482,7 @@ void CommManager::CloseSource(SourceId source) {
   fs.abandoned = true;
   wrappers_[i]->Abandon();
   if (!queues_[i]->producer_closed()) queues_[i]->CloseProducer();
-  SyncSource(i);       // NextArrival is now kSimTimeNever
-  ++est_version_;      // the scheduler's inputs changed
+  SyncSource(i);  // NextArrival is now kSimTimeNever; liveness unwatched
   ++source_version_[i];
 }
 

@@ -32,6 +32,8 @@ struct CommConfig {
   int64_t queue_capacity = 1024;
   /// A source's delivery rate is "significantly changed" when the live
   /// estimate deviates from the last planning snapshot by this factor.
+  /// Must be >= 1: a fresh snapshot then never signals, which the lazy
+  /// snapshot in CommManager::MarkPlanned relies on.
   double rate_change_ratio = 2.0;
   /// Minimum samples since the snapshot before a ratio-based change can be
   /// signaled.
@@ -81,7 +83,9 @@ struct FaultSignal {
 /// Mediator-side communication endpoint for all wrappers of one execution.
 class CommManager {
  public:
-  explicit CommManager(const CommConfig& config) : config_(config) {}
+  /// Aborts unless `config.rate_change_ratio >= 1` (EngineConfig::Validate
+  /// rejects it first).
+  explicit CommManager(const CommConfig& config);
 
   CommManager(const CommManager&) = delete;
   CommManager& operator=(const CommManager&) = delete;
@@ -128,14 +132,16 @@ class CommManager {
   int64_t RemainingTuples(SourceId source) const;
 
   /// Snapshot all estimates; subsequent RateChangedSincePlan() calls
-  /// compare against this snapshot.
+  /// compare against this snapshot. Copies only the sources registered
+  /// or delivered since their last snapshot; the others already match.
   void MarkPlanned(SimTime now);
 
   /// True when some source's estimate deviates from the planning snapshot
   /// by more than the configured ratio (subject to warmup and cooldown),
   /// or when a source that was un-warm at the snapshot has warmed up since
   /// (initial observations supersede the compile-time prior). The trigger
-  /// is recorded; the caller decides to replan.
+  /// is recorded; the caller decides to replan. Evaluates only sources
+  /// that delivered since they last evaluated false.
   bool RateChangedSincePlan(SimTime now);
 
   int64_t rate_change_signals() const { return rate_change_signals_; }
@@ -161,7 +167,8 @@ class CommManager {
   bool failure_detection() const { return config_.failure_detection; }
 
   /// Advances the per-source liveness state machine to `now`. Threshold
-  /// crossings enqueue FaultSignals for TakeFaultSignal.
+  /// crossings enqueue FaultSignals for TakeFaultSignal, in source-id
+  /// order. Touches only the sources whose threshold has passed.
   void UpdateFaultState(SimTime now);
 
   /// Pops the oldest pending liveness transition; false when none.
@@ -170,8 +177,9 @@ class CommManager {
   /// Earliest future virtual time any watched source can cross a liveness
   /// threshold (kSimTimeNever when nothing is watched). The query
   /// processor stalls no further than this, so detection keeps pace with
-  /// the virtual clock even when every stream is silent.
-  SimTime NextFaultDeadline(SimTime now) const;
+  /// the virtual clock even when every stream is silent. Non-const: it
+  /// drops stale entries off the liveness heap.
+  SimTime NextFaultDeadline(SimTime now);
 
   /// Suspected down or declared dead (and not recovered since).
   bool SourceSuspected(SourceId source) const;
@@ -230,6 +238,45 @@ class CommManager {
 
   enum class Health { kHealthy, kSuspected, kDead };
 
+  /// Min-heap of (key, source) with lazy invalidation (see heap_).
+  using SourceHeap =
+      std::priority_queue<std::pair<SimTime, int>,
+                          std::vector<std::pair<SimTime, int>>,
+                          std::greater<>>;
+
+  /// A set of source ids with O(1) insert and membership test.
+  struct SourceSet {
+    std::vector<int> sources;
+    std::vector<char> listed;
+
+    void Add(size_t i) {
+      if (listed[i] != 0) return;
+      listed[i] = 1;
+      sources.push_back(static_cast<int>(i));
+    }
+    void Clear() {
+      for (const int i : sources) listed[static_cast<size_t>(i)] = 0;
+      sources.clear();
+    }
+    /// Keeps the sources for which `keep` holds, drops the rest, and
+    /// returns the lowest kept id (kInvalidId when none is kept).
+    template <typename Pred>
+    SourceId KeepIf(Pred keep) {
+      SourceId lowest = kInvalidId;
+      size_t kept = 0;
+      for (const int i : sources) {
+        if (keep(static_cast<size_t>(i))) {
+          sources[kept++] = i;
+          if (lowest == kInvalidId || i < lowest) lowest = i;
+        } else {
+          listed[static_cast<size_t>(i)] = 0;
+        }
+      }
+      sources.resize(kept);
+      return lowest;
+    }
+  };
+
   struct SourceFaultState {
     /// Arrival timestamp of the last delivered tuple (0 = none yet, so
     /// silence is measured from query start).
@@ -246,10 +293,14 @@ class CommManager {
 
   /// Pumps one source and refreshes its event-index entry.
   void PumpSource(size_t i, SimTime now);
-  /// Re-keys source `i` in the arrival heap after its state changed.
-  /// Stale heap entries are left behind and skipped lazily on pop.
+  /// Re-keys source `i` in the arrival heap and, with failure detection
+  /// armed, the liveness heap after its state changed. Stale heap entries
+  /// are left behind and skipped lazily on pop.
   void SyncSource(size_t i);
-  /// A delivery from source `i` landed: refresh liveness, signal recovery.
+  /// Re-keys source `i` in the liveness heap.
+  void SyncLiveness(size_t i);
+  /// A delivery from source `i` landed: list it for the rate-change check
+  /// and the next snapshot, refresh liveness, signal recovery.
   void OnDelivery(size_t i);
   /// Copies new replay windows from the wrapper (fault runs only).
   void IngestReplayWindows(size_t i);
@@ -264,6 +315,23 @@ class CommManager {
   SimDuration DeadTimeout(size_t i) const;
   /// Liveness is tracked only for sources that can still deliver.
   bool WatchedForLiveness(size_t i) const;
+  /// When watched source `i` crosses its next liveness threshold
+  /// (kSimTimeNever when unwatched): the liveness heap's key.
+  SimTime LivenessDeadline(size_t i) const;
+  /// The liveness transitions of source `i` at `now`.
+  void AdvanceLiveness(size_t i, SimTime now);
+  /// The rate-change predicates of source `i`.
+  bool WarmupFires(size_t i) const;
+  bool RatioFires(size_t i) const;
+  bool InCooldown(SimTime now) const;
+
+  // Full-scan references for the fast paths above; the audit build
+  // (DQS_DCHECK) compares every fast result against them.
+  /// Watched sources past their threshold at `now`, in id order.
+  std::vector<int> ScanDueSources(SimTime now) const;
+  SimTime ScanFaultDeadline(SimTime now) const;
+  /// The source RateChangedSincePlan must report (kInvalidId: none).
+  SourceId ScanRateChangeSource(SimTime now) const;
 
   CommConfig config_;
   std::vector<std::unique_ptr<wrapper::SimWrapper>> wrappers_;
@@ -273,15 +341,16 @@ class CommManager {
   /// Min-heap of (next arrival, source). `heap_key_[i]` is the only live
   /// key for source i (kSimTimeNever = no live entry: exhausted or
   /// suspended); entries whose key differs are stale and skipped.
-  std::priority_queue<std::pair<SimTime, int>,
-                      std::vector<std::pair<SimTime, int>>, std::greater<>>
-      heap_;
+  SourceHeap heap_;
   std::vector<SimTime> heap_key_;
-  /// Bumped whenever any estimator's sampled state may have changed;
-  /// lets RateChangedSincePlan() memoize a full false evaluation.
-  int64_t est_version_ = 0;
-  int64_t memo_version_ = -1;
-  bool memo_full_eval_ = false;
+  /// Rate-change candidates: delivered since last found unable to fire.
+  /// Right after a snapshot no source can fire (rate_change_ratio >= 1),
+  /// so MarkPlanned empties both lists.
+  SourceSet warmup_candidates_;
+  SourceSet ratio_candidates_;
+  /// Sources whose estimator changed since their snapshot (all sources
+  /// start here: the registration snapshot holds the raw prior).
+  SourceSet stale_snapshots_;
   SimTime last_signal_ = -1;
   SourceId last_signal_source_ = kInvalidId;
   int64_t rate_change_signals_ = 0;
@@ -291,6 +360,13 @@ class CommManager {
   // Failure-detection state (inert unless config_.failure_detection,
   // except the replay windows, which follow the wrapper's fault schedule).
   std::vector<SourceFaultState> fault_state_;
+  /// Min-heap of (LivenessDeadline, source), same stale-key pattern as
+  /// heap_: `liveness_key_[i]` is the only live key (kSimTimeNever =
+  /// unwatched, no entry). Maintained only with failure detection armed.
+  SourceHeap liveness_heap_;
+  std::vector<SimTime> liveness_key_;
+  /// Scratch for UpdateFaultState's due set.
+  std::vector<int> due_;
   std::deque<FaultSignal> fault_signals_;
   /// Scratch for popping duplicates into oblivion.
   std::vector<storage::Tuple> discard_scratch_;

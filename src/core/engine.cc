@@ -99,6 +99,10 @@ Status EngineConfig::Validate() const {
   if (strategy.dqp.batch_size <= 0) {
     return Status::InvalidArgument("batch size must be > 0");
   }
+  // Below 1 a fresh planning snapshot could already signal a change.
+  if (!(comm.rate_change_ratio >= 1.0)) {
+    return Status::InvalidArgument("rate change ratio must be >= 1");
+  }
   return Status::Ok();
 }
 

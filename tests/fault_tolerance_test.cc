@@ -370,6 +370,100 @@ TEST(FaultComm, DeliveryAfterSuspicionRecovers) {
   EXPECT_EQ(sig.kind, FaultSignal::Kind::kRecovered);
 }
 
+TEST(FaultComm, SimultaneousSuspicionsSignalInSourceOrder) {
+  // Source 1 falls silent first, so its threshold passes first; both pass
+  // before the detector runs. The signals still come in source-id order.
+  CommConfig config;
+  config.failure_detection = true;
+  CommManager manager(config);
+  const Relation rel_a = MakeRelation(100, 0);
+  const Relation rel_b = MakeRelation(100, 1);
+  auto a = std::make_unique<SimWrapper>(0, &rel_a, ConstantDelay(10.0), 1);
+  auto b = std::make_unique<SimWrapper>(1, &rel_b, ConstantDelay(10.0), 2);
+  FaultSchedule late;
+  late.events = {DeathAt(5)};
+  a->SetFaultSchedule(late, 5);
+  FaultSchedule early;
+  early.events = {DeathAt(2)};
+  b->SetFaultSchedule(early, 6);
+  manager.AddSource(std::move(a), /*prior=*/10000.0);
+  manager.AddSource(std::move(b), /*prior=*/10000.0);
+  Tuple out[16];
+  EXPECT_EQ(manager.Pop(1, Microseconds(100), out, 16), 2);
+  EXPECT_EQ(manager.Pop(0, Microseconds(100), out, 16), 5);
+  // Suspect floors: 20 us + 50 ms for source 1, 50 us + 50 ms for 0.
+  EXPECT_EQ(manager.NextFaultDeadline(Microseconds(100)),
+            Microseconds(20) + Milliseconds(50));
+  manager.UpdateFaultState(Microseconds(50) + Milliseconds(50));
+  EXPECT_EQ(manager.fault_suspicions(), 2);
+  FaultSignal sig;
+  ASSERT_TRUE(manager.TakeFaultSignal(&sig));
+  EXPECT_EQ(sig.kind, FaultSignal::Kind::kDown);
+  EXPECT_EQ(sig.source, 0);
+  ASSERT_TRUE(manager.TakeFaultSignal(&sig));
+  EXPECT_EQ(sig.kind, FaultSignal::Kind::kDown);
+  EXPECT_EQ(sig.source, 1);
+  EXPECT_FALSE(manager.TakeFaultSignal(&sig));
+}
+
+TEST(FaultComm, SilencePastBothThresholdsDownThenDeadInOneRun) {
+  CommConfig config;
+  config.failure_detection = true;
+  CommManager manager(config);
+  const Relation rel = MakeRelation(100);
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  FaultSchedule schedule;
+  schedule.events = {DeathAt(5)};
+  w->SetFaultSchedule(schedule, 5);
+  manager.AddSource(std::move(w), /*prior=*/10000.0);
+  Tuple out[16];
+  EXPECT_EQ(manager.Pop(0, Microseconds(100), out, 16), 5);
+  // The first detector run comes after the 500 ms dead floor.
+  manager.UpdateFaultState(Microseconds(50) + Milliseconds(500));
+  EXPECT_TRUE(manager.SourceDead(0));
+  EXPECT_EQ(manager.fault_suspicions(), 1);
+  EXPECT_EQ(manager.fault_declared_dead(), 1);
+  FaultSignal sig;
+  ASSERT_TRUE(manager.TakeFaultSignal(&sig));
+  EXPECT_EQ(sig.kind, FaultSignal::Kind::kDown);
+  ASSERT_TRUE(manager.TakeFaultSignal(&sig));
+  EXPECT_EQ(sig.kind, FaultSignal::Kind::kDead);
+  EXPECT_FALSE(manager.TakeFaultSignal(&sig));
+  // A dead source is no longer watched.
+  EXPECT_EQ(manager.NextFaultDeadline(Seconds(1)), kSimTimeNever);
+}
+
+TEST(FaultComm, FaultDeadlineFollowsHeldSourceThroughItsLife) {
+  CommConfig config;
+  config.failure_detection = true;
+  CommManager manager(config);
+  const Relation rel = MakeRelation(100);
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  w->Hold();
+  manager.AddSource(std::move(w), /*prior=*/10000.0);
+  // Held sources are watched from t = 0 (DESIGN.md §8); the 50 ms suspect
+  // floor dominates 64 x the 10 us prior.
+  EXPECT_EQ(manager.NextFaultDeadline(0), Milliseconds(50));
+  // Once a threshold has passed, the next detector run is due at once.
+  EXPECT_EQ(manager.NextFaultDeadline(Milliseconds(50)),
+            Milliseconds(50) + 1);
+  // Admission restarts the silence clock.
+  manager.StartSource(0, Milliseconds(10));
+  EXPECT_EQ(manager.NextFaultDeadline(Milliseconds(10)), Milliseconds(60));
+  // Tuples arrive every 10 us after admission; the third is the last one
+  // delivered by this pop.
+  Tuple out[16];
+  EXPECT_EQ(manager.Pop(0, Milliseconds(10) + Microseconds(35), out, 16), 3);
+  const SimTime last = Milliseconds(10) + Microseconds(30);
+  EXPECT_EQ(manager.NextFaultDeadline(last + 1), last + Milliseconds(50));
+  EXPECT_EQ(manager.NextFaultDeadline(last + Milliseconds(60)),
+            last + Milliseconds(60) + 1);
+  // A closed source is no longer watched.
+  manager.CloseSource(0);
+  EXPECT_EQ(manager.NextFaultDeadline(last + Milliseconds(60)),
+            kSimTimeNever);
+}
+
 // ------------------------------------------------------------- end to end
 
 MediatorConfig BaseConfig() {

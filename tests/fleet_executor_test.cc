@@ -250,6 +250,9 @@ TEST(FleetExecutor, CreateValidates) {
   bad = SmallConfig();
   bad.strategy.dqp.batch_size = 0;
   EXPECT_FALSE(FleetExecutor::Create(TinyTemplates(), Stream(2), bad).ok());
+  bad = SmallConfig();
+  bad.comm.rate_change_ratio = 0.5;
+  EXPECT_FALSE(FleetExecutor::Create(TinyTemplates(), Stream(2), bad).ok());
   // The fleet injects faults only through FleetConfig::storm; a catalog
   // schedule is refused instead of silently dropped.
   std::vector<plan::QuerySetup> faulty = TinyTemplates();

@@ -409,6 +409,63 @@ TEST(FleetLifecycle, StormTaxonomyByteIdenticalAcrossJobs) {
   }
 }
 
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FleetLifecycle, StormOutcomesMatchPinnedDigests) {
+  // Byte-identity across --jobs cannot see a change that moves every job
+  // count alike; these digests of the taxonomy plus the makespan can. A
+  // change that moves any storm outcome must re-pin them deliberately.
+  FleetConfig base;
+  base.seed = 7;
+  base.num_shards = 4;
+  base.sync_turns = 64;
+  const auto [median, makespan] = ProbeScale(base);
+  struct Cell {
+    wrapper::StormKind storm;
+    StrategyKind strategy;
+    uint64_t digest;
+  };
+  const Cell cells[] = {
+      {wrapper::StormKind::kRegionOutage, StrategyKind::kSeq,
+       0xf841316c83da74d6ULL},
+      {wrapper::StormKind::kRegionOutage, StrategyKind::kDse,
+       0xcd738d1c01bafb6aULL},
+      {wrapper::StormKind::kCascadingSlowdown, StrategyKind::kSeq,
+       0x6e5211101acfad37ULL},
+      {wrapper::StormKind::kCascadingSlowdown, StrategyKind::kDse,
+       0xdf0d93d8402a770eULL},
+      {wrapper::StormKind::kFlapping, StrategyKind::kSeq,
+       0xcedcb030e006131dULL},
+      {wrapper::StormKind::kFlapping, StrategyKind::kDse,
+       0x58effffff5921b07ULL},
+  };
+  for (const Cell& cell : cells) {
+    FleetConfig config = StormConfigFor(median, makespan);
+    config.storm.kind = cell.storm;
+    config.storm.wave_stall = makespan / 10;
+    config.storm.propagation = makespan / 25;
+    config.storm.flap_period = makespan / 12;
+    Result<FleetExecutor> fleet =
+        FleetExecutor::Create(TinyTemplates(), Stream(12), config);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    Result<FleetMetrics> r = fleet->Execute(cell.strategy, 2);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->fault.any()) << wrapper::StormKindName(cell.storm);
+    const uint64_t digest =
+        Fnv1a(TaxonomyFingerprint(*r) + std::to_string(r->makespan));
+    EXPECT_EQ(digest, cell.digest)
+        << wrapper::StormKindName(cell.storm) << ' '
+        << StrategyName(cell.strategy) << " digest 0x" << std::hex << digest;
+  }
+}
+
 TEST(FleetLifecycle, LethalOutageExhaustsRetriesOrDegrades) {
   FleetConfig base;
   base.seed = 7;

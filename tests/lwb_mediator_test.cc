@@ -58,6 +58,10 @@ TEST(Mediator, CreateValidatesConfig) {
   config = MediatorConfig{};
   config.cost.cpu_mips = -1;
   EXPECT_FALSE(Mediator::Create(setup.catalog, setup.plan, config).ok());
+  // Below 1 a fresh planning snapshot could signal a rate change.
+  config = MediatorConfig{};
+  config.comm.rate_change_ratio = 0.5;
+  EXPECT_FALSE(Mediator::Create(setup.catalog, setup.plan, config).ok());
 }
 
 TEST(Mediator, CreateValidatesPlan) {

@@ -36,6 +36,9 @@ TEST(MultiQuery, CreateValidates) {
   bad = SmallConfig();
   bad.strategy.dqp.batch_size = 0;
   EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
+  bad = SmallConfig();
+  bad.comm.rate_change_ratio = 0.5;
+  EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
   // Catalog fault schedules are a single-query-mediator feature; the mix
   // must refuse one instead of running the source fault-free.
   std::vector<plan::QuerySetup> faulty = MixOfTinyQueries(2);

@@ -506,8 +506,8 @@ TEST(CommManagerRateChange, WarmupPromotionBypassesCooldown) {
 }
 
 TEST(CommManagerRateChange, MemoizedFalseInvalidatedByNewDeliveries) {
-  // A fully evaluated false verdict is memoized; new deliveries bump the
-  // estimator version and force re-evaluation.
+  // A false verdict unlists every source it evaluated; new deliveries list
+  // the source again and force re-evaluation.
   CommConfig config;
   config.queue_capacity = 4096;
   config.rate_change_min_samples = 8;
@@ -555,6 +555,94 @@ TEST(CommManagerRateChange, FiresOnGenuineSlowdown) {
   // After re-planning (snapshot refresh) the signal clears.
   manager.MarkPlanned(t);
   EXPECT_FALSE(manager.RateChangedSincePlan(t + 1));
+}
+
+TEST(CommManagerRateChange, LowestFiringIdWinsOverDeliveryOrder) {
+  // Two sources fire in the same evaluation; the higher id delivered both
+  // first and last. The signal names the lower id, as a scan in id order
+  // would, on the warm-up path and on the ratio path alike.
+  CommConfig config;
+  config.queue_capacity = 4096;
+  config.rate_change_min_samples = 8;
+  config.rate_change_cooldown = 0;
+  CommManager manager(config);
+  const Relation rel_a = MakeRelation(3000, 0);
+  const Relation rel_b = MakeRelation(3000, 1);
+  manager.AddSource(
+      std::make_unique<SimWrapper>(0, &rel_a, InitialThenFast(100.0, 10.0), 1),
+      /*prior=*/10000.0);
+  manager.AddSource(
+      std::make_unique<SimWrapper>(1, &rel_b, InitialThenFast(100.0, 10.0), 2),
+      /*prior=*/10000.0);
+  manager.MarkPlanned(0);  // both snapshots un-warm
+  Tuple out[64];
+  SimTime t = Milliseconds(100);
+  while (!manager.EstimateWarm(1)) {
+    t += Microseconds(100);
+    manager.Pop(1, t, out, 64);
+  }
+  while (!manager.EstimateWarm(0)) {
+    t += Microseconds(100);
+    manager.Pop(0, t, out, 64);
+  }
+  t += Microseconds(100);
+  manager.Pop(1, t, out, 64);
+  EXPECT_TRUE(manager.RateChangedSincePlan(t));  // both warmed up
+  EXPECT_EQ(manager.LastRateChangeSource(), 0);
+
+  manager.MarkPlanned(t);
+  const double ref0 = manager.EstimatedWaitNs(0);
+  const double ref1 = manager.EstimatedWaitNs(1);
+  for (int i = 0; i < 40; ++i) {
+    t += Microseconds(100);
+    manager.Pop(1, t, out, 64);
+    manager.Pop(0, t, out, 64);
+  }
+  t += Microseconds(100);
+  manager.Pop(1, t, out, 64);
+  // The fast tails drag both estimates below snapshot / ratio.
+  ASSERT_LT(manager.EstimatedWaitNs(0), ref0 / config.rate_change_ratio);
+  ASSERT_LT(manager.EstimatedWaitNs(1), ref1 / config.rate_change_ratio);
+  EXPECT_TRUE(manager.RateChangedSincePlan(t));
+  EXPECT_EQ(manager.LastRateChangeSource(), 0);
+  EXPECT_EQ(manager.rate_change_signals(), 2);
+}
+
+TEST(CommManagerRateChange, DriftDeliveredInCooldownFiresAfterIt) {
+  // A ratio drift that lands inside another signal's cooldown window is
+  // suppressed, not forgotten: the first call after the window reports it
+  // although nothing was delivered in between.
+  CommConfig config;
+  config.queue_capacity = 4096;
+  config.rate_change_min_samples = 8;
+  config.rate_change_cooldown = Milliseconds(10);
+  CommManager manager(config);
+  const Relation rel = MakeRelation(3000);
+  manager.AddSource(
+      std::make_unique<SimWrapper>(0, &rel, InitialThenFast(100.0, 10.0), 1),
+      /*prior=*/10000.0);
+  manager.MarkPlanned(0);  // planned on the prior
+  Tuple out[64];
+  SimTime t = Milliseconds(100);
+  while (!manager.EstimateWarm(0)) {
+    t += Microseconds(100);
+    manager.Pop(0, t, out, 64);
+  }
+  EXPECT_TRUE(manager.RateChangedSincePlan(t));  // warm-up signal
+  const SimTime signal = t;
+  manager.MarkPlanned(t);  // the replan it triggers
+  const double ref = manager.EstimatedWaitNs(0);
+  for (int i = 0; i < 40; ++i) {
+    t += Microseconds(100);
+    manager.Pop(0, t, out, 64);
+  }
+  ASSERT_LT(t, signal + config.rate_change_cooldown);
+  ASSERT_LT(manager.EstimatedWaitNs(0), ref / config.rate_change_ratio);
+  EXPECT_FALSE(manager.RateChangedSincePlan(t));  // inside the window
+  EXPECT_TRUE(
+      manager.RateChangedSincePlan(signal + config.rate_change_cooldown));
+  EXPECT_EQ(manager.LastRateChangeSource(), 0);
+  EXPECT_EQ(manager.rate_change_signals(), 2);
 }
 
 }  // namespace
