@@ -3,7 +3,8 @@
 // schedule in a short time interval compared to the average processing
 // time of one execution phase" — BM_ComputePlan quantifies that interval
 // for growing plan sizes; the hash-index benchmarks cover the hot probe
-// path every tuple takes.
+// path every tuple takes, and BM_TuplePagesAppend the operand and temp
+// appends every batch's output takes.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "common/parallel_runner.h"
 #include "plan/canonical_plans.h"
 #include "plan/query_generator.h"
+#include "storage/tuple_pages.h"
 #include "wrapper/wrapper.h"
 
 namespace dqsched {
@@ -87,13 +89,19 @@ BENCHMARK(BM_ComputePlan)
     ->Arg(96)
     ->Arg(192);
 
-void BM_HashIndexBuild(benchmark::State& state) {
-  const int64_t n = state.range(0);
+/// `n` tuples with keys[0] drawn uniformly from [0, n).
+std::vector<storage::Tuple> RandomKeyTuples(int64_t n) {
   std::vector<storage::Tuple> tuples(static_cast<size_t>(n));
   Rng rng(7);
   for (auto& t : tuples) {
     t.keys[0] = static_cast<int64_t>(rng.Uniform(static_cast<uint64_t>(n)));
   }
+  return tuples;
+}
+
+void BM_HashIndexBuild(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<storage::Tuple> tuples = RandomKeyTuples(n);
   for (auto _ : state) {
     exec::HashIndex index;
     index.Build(tuples, 0);
@@ -103,13 +111,42 @@ void BM_HashIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_HashIndexBuild)->Arg(1000)->Arg(100000);
 
+/// The same build over a paged operand; it should stay within a few
+/// percent of BM_HashIndexBuild.
+void BM_HashIndexBuildPaged(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<storage::Tuple> tuples = RandomKeyTuples(n);
+  storage::TuplePages pages;
+  pages.Append(tuples.data(), n);
+  for (auto _ : state) {
+    exec::HashIndex index;
+    index.Build(pages, 0);
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_HashIndexBuildPaged)->Arg(1000)->Arg(100000);
+
+/// Appends of `range(0)` tuples per call (1 is the median batch of the
+/// batch log); the store is cleared every 64 pages, so page turnover
+/// through the pool is part of the cost.
+void BM_TuplePagesAppend(benchmark::State& state) {
+  const int64_t per_call = state.range(0);
+  const std::vector<storage::Tuple> batch = RandomKeyTuples(per_call);
+  storage::TuplePages pages;
+  for (auto _ : state) {
+    pages.Append(batch.data(), per_call);
+    benchmark::DoNotOptimize(&pages[static_cast<size_t>(pages.size() - 1)]);
+    benchmark::ClobberMemory();
+    if (pages.size() >= 64 * storage::TuplePages::kPageTuples) pages.Clear();
+  }
+  state.SetItemsProcessed(state.iterations() * per_call);
+}
+BENCHMARK(BM_TuplePagesAppend)->Arg(1)->Arg(16)->Arg(128);
+
 void BM_HashIndexProbe(benchmark::State& state) {
   const int64_t n = state.range(0);
-  std::vector<storage::Tuple> tuples(static_cast<size_t>(n));
-  Rng rng(7);
-  for (auto& t : tuples) {
-    t.keys[0] = static_cast<int64_t>(rng.Uniform(static_cast<uint64_t>(n)));
-  }
+  const std::vector<storage::Tuple> tuples = RandomKeyTuples(n);
   exec::HashIndex index;
   index.Build(tuples, 0);
   int64_t probe_key = 0;

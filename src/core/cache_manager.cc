@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -9,6 +10,7 @@
 #include "exec/exec_context.h"
 #include "plan/compiled_plan.h"
 #include "storage/memory_accountant.h"
+#include "storage/tuple_pages.h"
 
 namespace dqsched::core {
 
@@ -201,12 +203,17 @@ void CacheManager::AdmitQuery(const ExecutionState& state,
       if (ctx.comm.SourceClosed(src)) continue;
       const TempId temp = state.MfTemp(c);
       if (ctx.temps.IsDropped(temp) || !ctx.temps.IsSealed(temp)) continue;
-      const std::vector<storage::Tuple>& tuples = ctx.temps.Tuples(temp);
-      const int64_t need =
-          storage::ResultCache::SegmentBytes(static_cast<int64_t>(tuples.size()));
+      const storage::TuplePages& pages = ctx.temps.Tuples(temp);
+      const int64_t need = storage::ResultCache::SegmentBytes(pages.size());
       if (!EnsureHeadroom(need)) continue;
-      const int64_t admitted = cache_.InsertSegment(
-          SegmentFingerprint(compiled, c), SegmentVersionHash(src), tuples);
+      std::vector<storage::Tuple> segment;
+      segment.reserve(static_cast<size_t>(pages.size()));
+      pages.ForEachSpan([&segment](const storage::Tuple* run, int64_t n) {
+        segment.insert(segment.end(), run, run + n);
+      });
+      const int64_t admitted =
+          cache_.InsertSegment(SegmentFingerprint(compiled, c),
+                               SegmentVersionHash(src), std::move(segment));
       if (admitted > 0 && accountant_ != nullptr) {
         accountant_->GrantReclaimable(admitted);
       }

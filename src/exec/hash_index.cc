@@ -17,14 +17,26 @@ int64_t HashIndex::EstimateBytes(int64_t n) {
 }
 
 void HashIndex::Build(const std::vector<storage::Tuple>& tuples, int field) {
+  const int64_t n = static_cast<int64_t>(tuples.size());
+  Reset(n, field);
+  InsertRun(tuples.data(), n, 0, field);
+}
+
+void HashIndex::Reset(int64_t n, int field) {
   DQS_CHECK_MSG(field >= 0 && field < storage::kTupleKeyFields,
                 "bad key field %d", field);
-  DQS_CHECK_MSG(tuples.size() < (uint64_t{1} << 31),
+  DQS_CHECK_MSG(n < (int64_t{1} << 31),
                 "hash index capped at 2^31 entries (32-bit slot index)");
-  slots_.assign(SlotCountFor(static_cast<int64_t>(tuples.size())), Slot{});
+  slots_.assign(SlotCountFor(n), Slot{});
+  entries_ = n;
+  built_ = true;
+}
+
+void HashIndex::InsertRun(const storage::Tuple* run, int64_t n,
+                          int64_t base, int field) {
   const uint64_t mask = slots_.size() - 1;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    const int64_t key = tuples[i].keys[static_cast<size_t>(field)];
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t key = run[i].keys[static_cast<size_t>(field)];
     uint64_t pos = storage::Mix64(static_cast<uint64_t>(key)) & mask;
     // The insertion walk passes every earlier entry of its run, so the
     // key's first occurrence (if any) is seen on the way to the empty
@@ -36,15 +48,13 @@ void HashIndex::Build(const std::vector<storage::Tuple>& tuples, int field) {
       pos = (pos + 1) & mask;
     }
     slots_[pos].key = key;
-    slots_[pos].index = static_cast<int32_t>(i);
+    slots_[pos].index = static_cast<int32_t>(base + i);
     if (first == kNoMatch) {
       slots_[pos].count = 1;
     } else {
       ++slots_[first].count;
     }
   }
-  entries_ = static_cast<int64_t>(tuples.size());
-  built_ = true;
 }
 
 }  // namespace dqsched::exec

@@ -8,11 +8,13 @@
 #ifndef DQSCHED_EXEC_HASH_INDEX_H_
 #define DQSCHED_EXEC_HASH_INDEX_H_
 
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
 #include "sim/cost_model.h"
 #include "storage/tuple.h"
+#include "storage/tuple_pages.h"
 
 namespace dqsched::exec {
 
@@ -24,6 +26,19 @@ class HashIndex {
   /// Builds the index over `tuples` keyed on keys[field]. Any previous
   /// content is discarded.
   void Build(const std::vector<storage::Tuple>& tuples, int field);
+
+  /// The same build over a paged operand, one page run at a time. A
+  /// template only so that `Build({}, field)` still resolves to the vector
+  /// overload: `{}` deduces no template argument.
+  template <std::same_as<storage::TuplePages> Pages>
+  void Build(const Pages& tuples, int field) {
+    Reset(tuples.size(), field);
+    int64_t base = 0;
+    tuples.ForEachSpan([&](const storage::Tuple* run, int64_t n) {
+      InsertRun(run, n, base, field);
+      base += n;
+    });
+  }
 
   /// Invokes fn(size_t index) for every entry whose key equals `key`.
   template <typename Fn>
@@ -133,6 +148,12 @@ class HashIndex {
   static_assert(sizeof(Slot) == 16, "slot layout drives memory accounting");
 
   static uint64_t SlotCountFor(int64_t n);
+
+  /// Discards any content and sizes the slots for `n` entries.
+  void Reset(int64_t n, int field);
+  /// Inserts run[0, n) as entries base .. base + n - 1.
+  void InsertRun(const storage::Tuple* run, int64_t n, int64_t base,
+                 int field);
 
   std::vector<Slot> slots_;
   int64_t entries_ = 0;

@@ -15,19 +15,14 @@ void Operand::Append(ExecContext& ctx, const storage::Tuple* data, int64_t n,
   }
   const int64_t bytes = n * ctx.cost->tuple_size_bytes;
   if (ctx.memory.Grant(bytes).ok()) {
-    tuples_.insert(tuples_.end(), data, data + n);
+    tuples_.Append(data, n);
     granted_tuple_bytes_ += bytes;
     return;
   }
   // Memory pressure: spill everything accumulated so far plus this batch
   // to a disk temp and release the grants.
   temp_ = ctx.temps.Create("operand_" + name_);
-  if (!tuples_.empty()) {
-    ctx.temps.Append(temp_, tuples_.data(),
-                     static_cast<int64_t>(tuples_.size()), async_io);
-    tuples_.clear();
-    tuples_.shrink_to_fit();
-  }
+  MoveTuplesToTemp(ctx, async_io);
   ctx.memory.Release(granted_tuple_bytes_);
   granted_tuple_bytes_ = 0;
   ctx.temps.Append(temp_, data, n, async_io);
@@ -54,13 +49,8 @@ Status Operand::Load(ExecContext& ctx, bool async_io) {
     const int64_t bytes = cardinality_ * ctx.cost->tuple_size_bytes;
     DQS_RETURN_IF_ERROR(ctx.memory.Grant(bytes));
     granted_tuple_bytes_ = bytes;
-    tuples_.resize(static_cast<size_t>(cardinality_));
     SimTime ready = ctx.clock.now();
-    int64_t cursor = 0;
-    while (cursor < cardinality_) {
-      cursor += ctx.temps.Read(temp_, cursor, tuples_.data() + cursor,
-                               cardinality_ - cursor, async_io, &ready);
-    }
+    ctx.temps.ReadAll(temp_, &tuples_, async_io, &ready);
     // The index build below needs the data; wait for the last chunk.
     ctx.clock.BusyUntil(ready);
   }
@@ -70,8 +60,7 @@ Status Operand::Load(ExecContext& ctx, bool async_io) {
   if (!granted.ok()) {
     // Roll back the reload so a later retry starts clean.
     if (spilled()) {
-      tuples_.clear();
-      tuples_.shrink_to_fit();
+      tuples_.Clear();
       ctx.memory.Release(granted_tuple_bytes_);
       granted_tuple_bytes_ = 0;
     }
@@ -90,8 +79,7 @@ void Operand::Unload(ExecContext& ctx) {
   granted_index_bytes_ = 0;
   if (spilled()) {
     // The in-memory tuples are a reloaded copy; the temp is authoritative.
-    tuples_.clear();
-    tuples_.shrink_to_fit();
+    tuples_.Clear();
     ctx.memory.Release(granted_tuple_bytes_);
     granted_tuple_bytes_ = 0;
   }
@@ -99,8 +87,7 @@ void Operand::Unload(ExecContext& ctx) {
 
 void Operand::ReleaseAll(ExecContext& ctx) {
   index_.Clear();
-  tuples_.clear();
-  tuples_.shrink_to_fit();
+  tuples_.Clear();
   ctx.memory.Release(granted_tuple_bytes_ + granted_index_bytes_);
   granted_tuple_bytes_ = 0;
   granted_index_bytes_ = 0;
@@ -116,16 +103,19 @@ void Operand::SpillToDisk(ExecContext& ctx) {
                 "SpillToDisk of %s requires a sealed, unprobed operand",
                 name_.c_str());
   temp_ = ctx.temps.Create("spill_" + name_);
-  if (!tuples_.empty()) {
-    ctx.temps.Append(temp_, tuples_.data(),
-                     static_cast<int64_t>(tuples_.size()),
-                     /*async_io=*/true);
-    tuples_.clear();
-    tuples_.shrink_to_fit();
-  }
+  MoveTuplesToTemp(ctx, /*async_io=*/true);
   ctx.temps.Seal(temp_);
   ctx.memory.Release(granted_tuple_bytes_);
   granted_tuple_bytes_ = 0;
+}
+
+void Operand::MoveTuplesToTemp(ExecContext& ctx, bool async_io) {
+  // Page by page: the temp flushes the same chunks at the same points as
+  // one append of the whole run would.
+  tuples_.ForEachSpan([&](const storage::Tuple* run, int64_t n) {
+    ctx.temps.Append(temp_, run, n, async_io);
+  });
+  tuples_.Clear();
 }
 
 Operand& OperandRegistry::Register(JoinId join, std::string name,

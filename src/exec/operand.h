@@ -20,6 +20,7 @@
 #include "exec/exec_context.h"
 #include "exec/hash_index.h"
 #include "storage/tuple.h"
+#include "storage/tuple_pages.h"
 
 namespace dqsched::exec {
 
@@ -69,7 +70,7 @@ class Operand {
 
   bool loaded() const { return index_.built(); }
   const HashIndex& index() const { return index_; }
-  const std::vector<storage::Tuple>& tuples() const { return tuples_; }
+  const storage::TuplePages& tuples() const { return tuples_; }
 
   /// Undoes a Load() without losing data: drops the index (and, for a
   /// spilled operand, the reloaded tuple copy — the temp still holds
@@ -89,11 +90,14 @@ class Operand {
   void SpillToDisk(ExecContext& ctx);
 
  private:
+  /// Writes the in-memory tuples to the (just created) temp and frees them.
+  void MoveTuplesToTemp(ExecContext& ctx, bool async_io);
+
   JoinId join_;
   std::string name_;
   int field_;
 
-  std::vector<storage::Tuple> tuples_;
+  storage::TuplePages tuples_;
   HashIndex index_;
   TempId temp_ = kInvalidId;
   bool sealed_ = false;

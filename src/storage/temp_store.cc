@@ -42,13 +42,12 @@ void TempStore::Append(TempId id, const Tuple* data, int64_t n,
   TempRel& rel = Get(id);
   DQS_CHECK_MSG(!rel.sealed, "append to sealed temp %d (%s)", id,
                 rel.name.c_str());
-  rel.tuples.insert(rel.tuples.end(), data, data + n);
+  rel.tuples.Append(data, n);
   stats_.tuples_written += n;
   // Flush whole chunks behind the write watermark.
   const int64_t chunk_tuples =
       static_cast<int64_t>(cost_->disk_chunk_pages) * cost_->TuplesPerPage();
-  while (static_cast<int64_t>(rel.tuples.size()) - rel.flushed_tuples >=
-         chunk_tuples) {
+  while (rel.tuples.size() - rel.flushed_tuples >= chunk_tuples) {
     ChargeIo(id, cost_->disk_chunk_pages, /*is_write=*/true, async_io);
     rel.flushed_tuples += chunk_tuples;
   }
@@ -57,14 +56,13 @@ void TempStore::Append(TempId id, const Tuple* data, int64_t n,
 void TempStore::Seal(TempId id) {
   TempRel& rel = Get(id);
   if (rel.sealed) return;
-  const int64_t remainder =
-      static_cast<int64_t>(rel.tuples.size()) - rel.flushed_tuples;
+  const int64_t remainder = rel.tuples.size() - rel.flushed_tuples;
   if (remainder > 0) {
     // Asynchronous flush of the tail: sealing never blocks the CPU; any
     // subsequent read is serialized behind it by the disk's busy queue.
     ChargeIo(id, cost_->PagesForTuples(remainder), /*is_write=*/true,
              /*async_io=*/true);
-    rel.flushed_tuples = static_cast<int64_t>(rel.tuples.size());
+    rel.flushed_tuples = rel.tuples.size();
   }
   rel.sealed = true;
 }
@@ -73,14 +71,14 @@ TempId TempStore::AdoptSealed(std::string name, const Tuple* data,
                               int64_t n) {
   const TempId id = Create(std::move(name));
   TempRel& rel = Get(id);
-  rel.tuples.assign(data, data + n);
+  rel.tuples.Append(data, n);
   rel.flushed_tuples = n;  // on disk already: adopted segments were
                            // flushed when first materialized
   rel.sealed = true;
   return id;
 }
 
-const std::vector<Tuple>& TempStore::Tuples(TempId id) const {
+const TuplePages& TempStore::Tuples(TempId id) const {
   const TempRel& rel = Get(id);
   DQS_CHECK_MSG(rel.sealed, "Tuples() of unsealed temp %d", id);
   return rel.tuples;
@@ -91,7 +89,7 @@ bool TempStore::IsSealed(TempId id) const { return Get(id).sealed; }
 int64_t TempStore::Cardinality(TempId id) const {
   const TempRel& rel = Get(id);
   DQS_CHECK_MSG(rel.sealed, "cardinality of unsealed temp %d", id);
-  return static_cast<int64_t>(rel.tuples.size());
+  return rel.tuples.size();
 }
 
 const std::string& TempStore::Name(TempId id) const { return Get(id).name; }
@@ -102,10 +100,25 @@ int64_t TempStore::Pages(TempId id) const {
 
 int64_t TempStore::Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
                         bool async_io, SimTime* ready) {
+  const int64_t n = ChargeRead(id, cursor, max, async_io, ready);
+  Get(id).tuples.CopyOut(cursor, out, n);
+  return n;
+}
+
+int64_t TempStore::ReadAll(TempId id, TuplePages* out, bool async_io,
+                           SimTime* ready) {
+  const int64_t n = ChargeRead(id, 0, Cardinality(id), async_io, ready);
+  Get(id).tuples.ForEachSpan(
+      [out](const Tuple* run, int64_t k) { out->Append(run, k); });
+  return n;
+}
+
+int64_t TempStore::ChargeRead(TempId id, int64_t cursor, int64_t max,
+                              bool async_io, SimTime* ready) {
   TempRel& rel = Get(id);
   DQS_CHECK_MSG(rel.sealed, "read of unsealed temp %d (%s)", id,
                 rel.name.c_str());
-  const int64_t card = static_cast<int64_t>(rel.tuples.size());
+  const int64_t card = rel.tuples.size();
   DQS_CHECK_MSG(cursor >= 0 && cursor <= card, "bad cursor %lld",
                 static_cast<long long>(cursor));
   const int64_t n = std::min(max, card - cursor);
@@ -113,7 +126,6 @@ int64_t TempStore::Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
     *ready = clock_->now();
     return 0;
   }
-  std::copy_n(rel.tuples.begin() + cursor, n, out);
   stats_.tuples_read += n;
 
   // Whole temp fits the I/O cache: it never left memory, reads are free.
@@ -155,17 +167,15 @@ SimTime TempStore::IssueRead(TempId id, int64_t tuples) {
 void TempStore::Copy(TempId id, int64_t cursor, Tuple* out, int64_t n) {
   TempRel& rel = Get(id);
   DQS_CHECK_MSG(rel.sealed, "Copy of unsealed temp %d", id);
-  DQS_CHECK_MSG(cursor >= 0 &&
-                    cursor + n <= static_cast<int64_t>(rel.tuples.size()),
+  DQS_CHECK_MSG(cursor >= 0 && cursor + n <= rel.tuples.size(),
                 "Copy out of range");
-  std::copy_n(rel.tuples.begin() + cursor, n, out);
+  rel.tuples.CopyOut(cursor, out, n);
   stats_.tuples_read += n;
 }
 
 void TempStore::Drop(TempId id) {
   TempRel& rel = Get(id);
-  rel.tuples.clear();
-  rel.tuples.shrink_to_fit();
+  rel.tuples.Clear();
   rel.dropped = true;
 }
 

@@ -24,6 +24,7 @@
 #include "sim/disk.h"
 #include "sim/sim_clock.h"
 #include "storage/tuple.h"
+#include "storage/tuple_pages.h"
 
 namespace dqsched::storage {
 
@@ -77,7 +78,7 @@ class TempStore {
   /// Direct read-only access to a sealed temp's tuples (cache admission
   /// snapshots a completed MF through this; no simulated charge — admission
   /// is host-side bookkeeping, like planning_host_seconds).
-  const std::vector<Tuple>& Tuples(TempId id) const;
+  const TuplePages& Tuples(TempId id) const;
 
   bool IsSealed(TempId id) const;
   int64_t Cardinality(TempId id) const;
@@ -91,6 +92,10 @@ class TempStore {
   /// with synchronous reads the clock itself is advanced instead).
   int64_t Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
                bool async_io, SimTime* ready);
+
+  /// Appends the whole sealed temp to `out` with the charges of
+  /// Read(id, 0, ..., Cardinality(id), async_io, ready). Returns the count.
+  int64_t ReadAll(TempId id, TuplePages* out, bool async_io, SimTime* ready);
 
   // --- Prefetching read path (used by asynchronous TempSources) ---------
   /// True when the whole sealed temp fits the Table 1 I/O cache: it never
@@ -119,7 +124,7 @@ class TempStore {
  private:
   struct TempRel {
     std::string name;
-    std::vector<Tuple> tuples;
+    TuplePages tuples;
     bool sealed = false;
     bool dropped = false;
     int64_t flushed_tuples = 0;   // write watermark charged to disk
@@ -131,6 +136,10 @@ class TempStore {
   const TempRel& Get(TempId id) const;
   /// Charges one Transfer of `pages` pages plus the per-I/O CPU cost.
   SimTime ChargeIo(TempId id, int64_t pages, bool is_write, bool async_io);
+  /// The charges and stats of reading up to `max` tuples at `cursor` of the
+  /// sealed temp; returns the count the caller then copies out.
+  int64_t ChargeRead(TempId id, int64_t cursor, int64_t max, bool async_io,
+                     SimTime* ready);
 
   const sim::CostModel* cost_;
   sim::SimDisk* disk_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "exec/exec_context.h"
 
 namespace dqsched::exec {
@@ -93,6 +96,55 @@ TEST_F(OperandTest, SpilledReloadWorks) {
   int matches = 0;
   op.index().ForEachMatch(5, [&](size_t) { ++matches; });
   EXPECT_EQ(matches, 20);  // keys cycle mod 10 over 200 tuples
+
+  // Across host pages (1024 tuples): runs of 97 spill at the 16th run, with
+  // ~1.4 pages resident, and grow to 3300 tuples (3.2 pages). Two-page disk
+  // chunks put chunk flushes inside the spilled page runs. The reload must
+  // return every tuple in order with the charges pinned below.
+  sim::CostModel cost = cost_;
+  cost.disk_chunk_pages = 2;
+  struct Want {
+    bool async_io;
+    std::tuple<int64_t, int64_t, int64_t, int64_t, SimDuration> disk;
+    SimTime clock;
+  };
+  for (const Want& want :
+       {Want{false, {17, 17, 1, 18, 68421322}, 72231322},
+        Want{true, {17, 17, 1, 18, 68421322}, 71751322}}) {
+    SCOPED_TRACE(want.async_io ? "async I/O" : "sync I/O");
+    ExecContext big(&cost, comm::CommConfig{}, /*memory=*/1 << 20);
+    Operand paged(0, "paged", 0);
+    const int64_t squeeze = big.memory.available() - 62000;
+    ASSERT_TRUE(big.memory.Grant(squeeze).ok());
+    const int64_t n = 3300;
+    const auto rows = MakeTuples(n);
+    for (int64_t at = 0; at < n; at += 97) {
+      paged.Append(big, rows.data() + at, std::min<int64_t>(97, n - at),
+                   want.async_io);
+      EXPECT_EQ(paged.spilled(), at >= 15 * 97) << at;
+    }
+    paged.Seal(big);
+    big.memory.Release(squeeze);
+    ASSERT_TRUE(paged.Load(big, want.async_io).ok());
+    ASSERT_EQ(static_cast<int64_t>(paged.tuples().size()), n);
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(paged.tuples()[static_cast<size_t>(i)].rowid,
+                static_cast<uint64_t>(i));
+    }
+    int paged_matches = 0;
+    paged.index().ForEachMatch(5, [&](size_t) { ++paged_matches; });
+    EXPECT_EQ(paged_matches, 330);
+    const storage::TempStoreStats& temps = big.temps.stats();
+    EXPECT_EQ(std::make_tuple(temps.temps_created, temps.tuples_written,
+                              temps.tuples_read, temps.cache_served_reads),
+              std::make_tuple(1, n, n, 0));
+    const sim::DiskStats& disk = big.disk.stats();
+    EXPECT_EQ(std::make_tuple(disk.pages_read, disk.pages_written,
+                              disk.positionings, disk.io_calls, disk.busy),
+              want.disk);
+    EXPECT_EQ(big.clock.now(), want.clock);
+    paged.ReleaseAll(big);
+  }
 }
 
 TEST_F(OperandTest, BytesToLoadReflectsState) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -29,6 +32,18 @@ class TempStoreTest : public ::testing::Test {
   TempStore store_;
 };
 
+std::tuple<int64_t, int64_t, int64_t, int64_t> StatsOf(const TempStore& s) {
+  const TempStoreStats& t = s.stats();
+  return {t.temps_created, t.tuples_written, t.tuples_read,
+          t.cache_served_reads};
+}
+
+std::tuple<int64_t, int64_t, int64_t, int64_t, SimDuration> StatsOf(
+    const sim::SimDisk& d) {
+  const sim::DiskStats& t = d.stats();
+  return {t.pages_read, t.pages_written, t.positionings, t.io_calls, t.busy};
+}
+
 TEST_F(TempStoreTest, AppendSealReadRoundTrip) {
   const TempId id = store_.Create("t");
   const auto tuples = MakeTuples(1000);
@@ -44,6 +59,49 @@ TEST_F(TempStoreTest, AppendSealReadRoundTrip) {
   ASSERT_EQ(n, 1000);
   for (int64_t i = 0; i < 1000; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)].rowid, static_cast<uint64_t>(i));
+  }
+
+  // Across host pages (1024 tuples): 3*1024+7 tuples appended in runs of
+  // 301 and read back in runs of 500, so both cursors cross page
+  // boundaries; two-page disk chunks put chunk I/O between them.
+  sim::CostModel cost = cost_;
+  cost.disk_chunk_pages = 2;
+  struct Want {
+    bool async_io;
+    std::tuple<int64_t, int64_t, int64_t, int64_t, SimDuration> disk;
+    SimTime clock;
+  };
+  for (const Want& want :
+       {Want{false, {16, 16, 1, 16, 65690656}, 66140656},
+        Want{true, {16, 16, 1, 16, 65690656}, 65870656}}) {
+    SCOPED_TRACE(want.async_io ? "async I/O" : "sync I/O");
+    sim::SimClock clock;
+    sim::SimDisk disk(&cost);
+    TempStore store(&cost, &disk, &clock);
+    const int64_t total = 3 * 1024 + 7;
+    const auto paged = MakeTuples(total, 7);
+    const TempId t = store.Create("paged");
+    for (int64_t at = 0; at < total; at += 301) {
+      store.Append(t, paged.data() + at, std::min<int64_t>(301, total - at),
+                   want.async_io);
+    }
+    store.Seal(t);
+    ASSERT_EQ(store.Cardinality(t), total);
+    std::vector<Tuple> back(static_cast<size_t>(total));
+    for (int64_t at = 0; at < total;) {
+      const int64_t got =
+          store.Read(t, at, back.data() + at, 500, want.async_io, &ready);
+      ASSERT_GT(got, 0) << at;
+      at += got;
+      clock.BusyUntil(ready);
+    }
+    for (int64_t i = 0; i < total; ++i) {
+      ASSERT_EQ(back[static_cast<size_t>(i)].rowid,
+                static_cast<uint64_t>(7 + i));
+    }
+    EXPECT_EQ(StatsOf(store), std::make_tuple(1, total, total, 0));
+    EXPECT_EQ(StatsOf(disk), want.disk);
+    EXPECT_EQ(clock.now(), want.clock);
   }
 }
 
@@ -120,6 +178,51 @@ TEST_F(TempStoreTest, IssueReadAndCopy) {
   std::vector<Tuple> out(10);
   store_.Copy(id, 5, out.data(), 10);
   EXPECT_EQ(out[0].rowid, 105u);
+
+  // Copies that cross host-page boundaries (1024 tuples), including into
+  // the last, partial page (13056 = 12*1024 + 768).
+  for (const auto& [cursor, len] :
+       {std::pair<int64_t, int64_t>{1020, 10}, {2040, 1100},
+        {n - 1030, 1030}}) {
+    std::vector<Tuple> run(static_cast<size_t>(len));
+    store_.Copy(id, cursor, run.data(), len);
+    for (int64_t i = 0; i < len; ++i) {
+      ASSERT_EQ(run[static_cast<size_t>(i)].rowid,
+                static_cast<uint64_t>(100 + cursor + i))
+          << cursor << "+" << i;
+    }
+  }
+  EXPECT_EQ(StatsOf(store_), std::make_tuple(1, n, 10 + 10 + 1100 + 1030, 0));
+  EXPECT_EQ(StatsOf(disk_), std::make_tuple(64, 64, 1, 2, 196762624));
+  EXPECT_EQ(clock_.now(), 60000);
+}
+
+TEST_F(TempStoreTest, AdoptSealedMultiPageSegment) {
+  // A cached segment spanning four host pages (1024 tuples) is adopted
+  // without write charges and reads back in order, cursor runs of 700
+  // crossing every page boundary.
+  const int64_t n = 3 * 1024 + 7;
+  const auto tuples = MakeTuples(n, 40);
+  const TempId id = store_.AdoptSealed("cached", tuples.data(), n);
+  EXPECT_TRUE(store_.IsSealed(id));
+  EXPECT_EQ(store_.Cardinality(id), n);
+  EXPECT_EQ(store_.Pages(id), 16);
+  std::vector<Tuple> back(static_cast<size_t>(n));
+  SimTime ready = 0;
+  for (int64_t at = 0; at < n;) {
+    const int64_t got =
+        store_.Read(id, at, back.data() + at, 700, /*async_io=*/true, &ready);
+    ASSERT_GT(got, 0) << at;
+    at += got;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(back[static_cast<size_t>(i)].rowid,
+              static_cast<uint64_t>(40 + i));
+  }
+  EXPECT_EQ(StatsOf(store_), std::make_tuple(1, 0, n, 0));
+  EXPECT_EQ(StatsOf(disk_), std::make_tuple(16, 0, 1, 1, 43845328));
+  EXPECT_EQ(std::make_tuple(ready, clock_.now()),
+            std::make_tuple(43875328, 30000));
 }
 
 TEST_F(TempStoreTest, ReadBeyondEndReturnsZero) {
