@@ -89,19 +89,32 @@ BENCHMARK(BM_ComputePlan)
     ->Arg(96)
     ->Arg(192);
 
-/// `n` tuples with keys[0] drawn uniformly from [0, n).
-std::vector<storage::Tuple> RandomKeyTuples(int64_t n) {
+/// `n` tuples with keys[0] drawn uniformly from [0, keys), by default
+/// [0, n).
+std::vector<storage::Tuple> RandomKeyTuples(int64_t n, int64_t keys = 0) {
   std::vector<storage::Tuple> tuples(static_cast<size_t>(n));
   Rng rng(7);
+  const uint64_t domain = static_cast<uint64_t>(keys > 0 ? keys : n);
   for (auto& t : tuples) {
-    t.keys[0] = static_cast<int64_t>(rng.Uniform(static_cast<uint64_t>(n)));
+    t.keys[0] = static_cast<int64_t>(rng.Uniform(domain));
   }
   return tuples;
 }
 
+/// Build sizes: uniform keys at 1000 and 100 000 rows, and 50 000 rows over
+/// 1000 keys (50 duplicates a key), where a build that walks a key's
+/// earlier duplicates per insert turns quadratic.
+void HashIndexBuildArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"rows", "keys"})
+      ->Args({1000, 1000})
+      ->Args({100000, 100000})
+      ->Args({50000, 1000});
+}
+
 void BM_HashIndexBuild(benchmark::State& state) {
   const int64_t n = state.range(0);
-  const std::vector<storage::Tuple> tuples = RandomKeyTuples(n);
+  const std::vector<storage::Tuple> tuples =
+      RandomKeyTuples(n, state.range(1));
   for (auto _ : state) {
     exec::HashIndex index;
     index.Build(tuples, 0);
@@ -109,13 +122,14 @@ void BM_HashIndexBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_HashIndexBuild)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_HashIndexBuild)->Apply(HashIndexBuildArgs);
 
 /// The same build over a paged operand; it should stay within a few
 /// percent of BM_HashIndexBuild.
 void BM_HashIndexBuildPaged(benchmark::State& state) {
   const int64_t n = state.range(0);
-  const std::vector<storage::Tuple> tuples = RandomKeyTuples(n);
+  const std::vector<storage::Tuple> tuples =
+      RandomKeyTuples(n, state.range(1));
   storage::TuplePages pages;
   pages.Append(tuples.data(), n);
   for (auto _ : state) {
@@ -125,7 +139,7 @@ void BM_HashIndexBuildPaged(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_HashIndexBuildPaged)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_HashIndexBuildPaged)->Apply(HashIndexBuildArgs);
 
 /// Appends of `range(0)` tuples per call (1 is the median batch of the
 /// batch log); the store is cleared every 64 pages, so page turnover

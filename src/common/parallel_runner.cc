@@ -1,7 +1,6 @@
 #include "common/parallel_runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -42,12 +41,10 @@ void ParallelRunner::Run(
   for (size_t i = 0; i < tasks.size(); ++i) {
     queues[i % workers].tasks.push_back(i);
   }
-  // Cells never spawn cells, so a simple countdown is a complete
-  // termination detector: a worker exits once every queue it scanned is
-  // empty AND nothing remains unfinished that could repopulate them
-  // (nothing ever does).
-  std::atomic<size_t> remaining(tasks.size());
-
+  // Tasks never enqueue tasks, so queues only shrink: a queue seen empty
+  // stays empty, and a worker whose scan finds every queue empty is done.
+  // It returns at once; the tasks still running on other workers finish
+  // on their threads, and the joins below wait for them.
   auto worker = [&](size_t self) {
     for (;;) {
       size_t task_index = tasks.size();  // sentinel: none found
@@ -60,7 +57,8 @@ void ParallelRunner::Run(
         }
       }
       if (task_index == tasks.size()) {
-        // Steal from the victim with the most queued work.
+        // Steal from the victim with the most queued work; none left means
+        // every queue is empty for good.
         size_t victim = workers;
         size_t victim_load = 0;
         for (size_t v = 0; v < workers; ++v) {
@@ -71,21 +69,13 @@ void ParallelRunner::Run(
             victim = v;
           }
         }
-        if (victim < workers) {
-          std::lock_guard<std::mutex> lock(queues[victim].mu);
-          if (!queues[victim].tasks.empty()) {
-            task_index = queues[victim].tasks.front();
-            queues[victim].tasks.pop_front();
-          }
-        }
-      }
-      if (task_index == tasks.size()) {
-        if (remaining.load(std::memory_order_acquire) == 0) return;
-        std::this_thread::yield();
-        continue;
+        if (victim == workers) return;
+        std::lock_guard<std::mutex> lock(queues[victim].mu);
+        if (queues[victim].tasks.empty()) continue;  // lost the race; rescan
+        task_index = queues[victim].tasks.front();
+        queues[victim].tasks.pop_front();
       }
       tasks[task_index]();
-      remaining.fetch_sub(1, std::memory_order_acq_rel);
     }
   };
 

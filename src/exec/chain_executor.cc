@@ -51,16 +51,17 @@ Result<int64_t> FragmentRuntime::ProcessBatch(ExecContext& ctx,
   DQS_RETURN_IF_ERROR(Open(ctx));
   if (max_tuples <= 0) return static_cast<int64_t>(0);
 
-  // Buffers grow once to the batch size and are then reused as-is; the
-  // input buffer doubles as the pipeline's first work buffer, so no batch
-  // is ever copied before the first operator sees it.
-  if (in_buf_.size() < static_cast<size_t>(max_tuples)) {
-    in_buf_.resize(static_cast<size_t>(max_tuples));
-    work_a_.reserve(static_cast<size_t>(max_tuples));
-    work_b_.reserve(static_cast<size_t>(max_tuples));
+  // The context's buffers grow once to the batch size and are then reused
+  // as-is; the input buffer doubles as the pipeline's first work buffer,
+  // so no batch is ever copied before the first operator sees it.
+  KernelScratch& scratch = ctx.scratch;
+  if (scratch.in.size() < static_cast<size_t>(max_tuples)) {
+    scratch.in.resize(static_cast<size_t>(max_tuples));
+    scratch.work_a.reserve(static_cast<size_t>(max_tuples));
+    scratch.work_b.reserve(static_cast<size_t>(max_tuples));
   }
   const ChainSource::PopResult pop =
-      source_->Pop(ctx, in_buf_.data(), max_tuples);
+      source_->Pop(ctx, scratch.in.data(), max_tuples);
   if (pop.count == 0) return static_cast<int64_t>(0);
   stats_.consumed += pop.count;
   if (!pop.from_temp && source_->remote_source() != kInvalidId) {
@@ -91,11 +92,11 @@ Result<int64_t> FragmentRuntime::ProcessBatchScalar(
   instr += pop.count * ctx.cost->instr_move_tuple;
 
   // Operators consume a (data, count) span and emit into the spare work
-  // buffer; the spans alternate between in_buf_/work_a_/work_b_.
-  const storage::Tuple* cur = in_buf_.data();
+  // buffer; the spans alternate between the context's in/work_a/work_b.
+  const storage::Tuple* cur = ctx.scratch.in.data();
   size_t cur_n = static_cast<size_t>(pop.count);
-  std::vector<storage::Tuple>* out = &work_a_;
-  std::vector<storage::Tuple>* spare = &work_b_;
+  std::vector<storage::Tuple>* out = &ctx.scratch.work_a;
+  std::vector<storage::Tuple>* spare = &ctx.scratch.work_b;
 
   const size_t first_op =
       pop.from_temp ? static_cast<size_t>(spec_.temp_skip_ops) : 0;
@@ -210,8 +211,8 @@ void GrowTuples(std::vector<storage::Tuple>* buf, int64_t n) {
 }
 
 /// Probe software-pipelining distance: hash the whole batch first, then
-/// walk runs with the home slot of the i+kth probe prefetched while the
-/// ith run is scanned.
+/// scan buckets with the bounds of the i+kth probe's bucket prefetched
+/// while the ith bucket is scanned.
 constexpr uint32_t kProbePrefetchDistance = 8;
 
 }  // namespace
@@ -246,12 +247,14 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
   // The scan's per-tuple move.
   instr += pop.count * ctx.cost->instr_move_tuple;
 
-  const storage::Tuple* cur = in_buf_.data();
+  KernelScratch& scratch = ctx.scratch;
+  TupleIdList& sel = scratch.sel;
+  const storage::Tuple* cur = scratch.in.data();
   int64_t cur_n = pop.count;
-  sel_.Resize(static_cast<uint32_t>(pop.count));
-  sel_.AddAll();
-  std::vector<storage::Tuple>* out = &work_a_;
-  std::vector<storage::Tuple>* spare = &work_b_;
+  sel.Resize(static_cast<uint32_t>(pop.count));
+  sel.AddAll();
+  std::vector<storage::Tuple>* out = &scratch.work_a;
+  std::vector<storage::Tuple>* spare = &scratch.work_b;
 
   const size_t first_op =
       pop.from_temp ? static_cast<size_t>(spec_.temp_skip_ops) : 0;
@@ -267,80 +270,78 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
              spec_.ops[oi + run_len].kind == plan::ChainOpKind::kFilter) {
         ++run_len;
       }
-      filter_charges_.clear();
-      FilterRunAt(oi, run_len).Run(cur, &sel_, &filter_charges_);
-      for (int64_t c : filter_charges_) instr += c * ctx.cost->instr_move_tuple;
+      scratch.filter_charges.clear();
+      FilterRunAt(oi, run_len).Run(cur, &sel, &scratch.filter_charges);
+      for (int64_t c : scratch.filter_charges) {
+        instr += c * ctx.cost->instr_move_tuple;
+      }
       oi += run_len;
       continue;
     }
 
-    // kProbe.
+    // kProbe. The index entries carry the build rowids, so the probe never
+    // reads the operand's tuples.
     const Operand& operand = operands_->Get(op.join);
     DQS_CHECK_MSG(operand.loaded(), "probe of unloaded operand %s by %s",
                   operand.name().c_str(), name().c_str());
-    const auto& tuples = operand.tuples();
     const HashIndex& index = operand.index();
     const size_t key_field = static_cast<size_t>(op.probe_key_field);
 
-    const uint32_t n_sel = sel_.Count();
+    const uint32_t n_sel = sel.Count();
     instr += static_cast<int64_t>(n_sel) * ctx.cost->instr_hash_probe;
-    if (sel_ids_.size() < n_sel) {
-      sel_ids_.resize(n_sel);
-      probe_keys_.resize(n_sel);
-      probe_homes_.resize(n_sel);
-      match_counts_.resize(n_sel);
+    if (scratch.sel_ids.size() < n_sel) {
+      scratch.sel_ids.resize(n_sel);
+      scratch.probe_keys.resize(n_sel);
+      scratch.probe_pos.resize(n_sel);
+      scratch.match_counts.resize(n_sel);
     }
+    int64_t* keys = scratch.probe_keys.data();
+    uint64_t* pos = scratch.probe_pos.data();
+    uint32_t* counts = scratch.match_counts.data();
     // With a full selection the ids are the identity — probe `cur`
     // directly instead of materializing 0..n-1.
     const uint32_t* ids = nullptr;
-    if (!sel_.Full()) {
-      sel_.Materialize(sel_ids_.data());
-      ids = sel_ids_.data();
+    if (!sel.Full()) {
+      sel.Materialize(scratch.sel_ids.data());
+      ids = scratch.sel_ids.data();
     }
 
-    // Pass 1: gather keys and hash every probe up front, then resolve each
-    // probe to (first-match slot, duplicate count) with the prefetcher
-    // running kProbePrefetchDistance probes ahead — the branchy run walk
-    // no longer stalls on the home-slot load, and it stops at the first
-    // hit because the build stored the duplicate count there.
+    // Pass 1: gather keys and hash every probe up front, then count each
+    // probe's matches in its bucket with the prefetcher running
+    // kProbePrefetchDistance probes ahead, keeping the first match's
+    // position for pass 2.
     for (uint32_t i = 0; i < n_sel; ++i) {
       const int64_t k = cur[ids ? ids[i] : i].keys[key_field];
-      probe_keys_[i] = k;
-      probe_homes_[i] = index.HomeSlot(k);
+      keys[i] = k;
+      pos[i] = index.BucketOf(k);
     }
     const uint32_t warm =
         n_sel < kProbePrefetchDistance ? n_sel : kProbePrefetchDistance;
-    for (uint32_t i = 0; i < warm; ++i) index.PrefetchSlot(probe_homes_[i]);
+    for (uint32_t i = 0; i < warm; ++i) index.PrefetchBucket(pos[i]);
     int64_t total_matches = 0;
     for (uint32_t i = 0; i < n_sel; ++i) {
       if (i + kProbePrefetchDistance < n_sel) {
-        index.PrefetchSlot(probe_homes_[i + kProbePrefetchDistance]);
+        index.PrefetchBucket(pos[i + kProbePrefetchDistance]);
       }
-      const uint64_t first =
-          index.FindFirstMatchFrom(probe_homes_[i], probe_keys_[i]);
-      probe_homes_[i] = first;  // reused: pass 2 expands from here
-      const uint32_t c =
-          first == HashIndex::kNoMatch ? 0 : index.MatchCountAt(first);
-      match_counts_[i] = c;
-      total_matches += c;
+      counts[i] = index.CountMatches(pos[i], keys[i], &pos[i]);
+      total_matches += counts[i];
     }
     instr += total_matches * ctx.cost->instr_produce_result;
 
-    // Pass 2: expand matches into a buffer pre-sized from the counts; the
-    // walk order per probe matches ForEachMatch (ascending run positions)
-    // and stops after exactly match_counts_[i] hits, so output order is
-    // byte-identical to the scalar kernels with no wasted tail walk.
+    // Pass 2: expand matches into a buffer pre-sized from the counts, in
+    // ForEachMatch's (insertion) order, stopping after exactly counts[i]
+    // hits, so output order is byte-identical to the scalar kernels.
     GrowTuples(out, total_matches);
     storage::Tuple* dst = out->data();
     int64_t off = 0;
     for (uint32_t i = 0; i < n_sel; ++i) {
-      if (match_counts_[i] == 0) continue;
+      if (counts[i] == 0) continue;
       const storage::Tuple& t = cur[ids ? ids[i] : i];
-      index.ForEachMatchFromN(probe_homes_[i], probe_keys_[i],
-                              match_counts_[i], [&](size_t idx) {
+      index.ForEachMatchFromN(pos[i], keys[i], counts[i],
+                              [&](const HashIndex::Entry& e) {
                                 storage::Tuple r = t;  // probe side carries
-                                r.rowid = storage::CombineRowid(
-                                    tuples[idx].rowid, t.rowid);
+                                r.rowid = storage::CombineRowid(e.rowid,
+                                                                t.rowid);
                                 dst[off++] = r;
                               });
     }
@@ -349,8 +350,8 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
                   static_cast<long long>(total_matches));
     cur = dst;
     cur_n = total_matches;
-    sel_.Resize(static_cast<uint32_t>(total_matches));
-    sel_.AddAll();
+    sel.Resize(static_cast<uint32_t>(total_matches));
+    sel.AddAll();
     std::swap(out, spare);
     ++oi;
   }
@@ -359,12 +360,12 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
   // once so every sink receives one contiguous span (the common filterless
   // tail is zero-copy).
   int64_t out_n = cur_n;
-  if (!sel_.Full()) {
-    out_n = sel_.Count();
+  if (!sel.Full()) {
+    out_n = sel.Count();
     GrowTuples(out, out_n);
     storage::Tuple* dst = out->data();
     int64_t k = 0;
-    sel_.ForEach([&](uint32_t id) { dst[k++] = cur[id]; });
+    sel.ForEach([&](uint32_t id) { dst[k++] = cur[id]; });
     cur = dst;
   }
   instr += out_n * ctx.cost->instr_move_tuple;

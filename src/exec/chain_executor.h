@@ -21,7 +21,6 @@
 #include "exec/filter_manager.h"
 #include "exec/kernel_config.h"
 #include "exec/operand.h"
-#include "exec/tuple_id_list.h"
 #include "plan/compiled_plan.h"
 
 namespace dqsched::exec {
@@ -158,18 +157,6 @@ class FragmentRuntime {
   bool opened_ = false;
   bool closed_ = false;
   FragmentStats stats_;
-  /// Scratch buffers reused across batches. The work buffers are grow-only
-  /// and carry stale tails; kernels track logical counts explicitly.
-  std::vector<storage::Tuple> in_buf_;
-  std::vector<storage::Tuple> work_a_;
-  std::vector<storage::Tuple> work_b_;
-  /// Vectorized-kernel scratch (grow-only, reused across batches).
-  TupleIdList sel_;
-  std::vector<uint32_t> sel_ids_;
-  std::vector<int64_t> probe_keys_;
-  std::vector<uint64_t> probe_homes_;
-  std::vector<uint32_t> match_counts_;
-  std::vector<int64_t> filter_charges_;
   /// One FilterManager per filter-run start index (lazily created).
   std::vector<std::unique_ptr<FilterManager>> filter_runs_;
 };

@@ -7,8 +7,10 @@
 #define DQSCHED_EXEC_EXEC_CONTEXT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "comm/comm_manager.h"
+#include "exec/tuple_id_list.h"
 #include "sim/cost_model.h"
 #include "sim/disk.h"
 #include "sim/network.h"
@@ -48,6 +50,24 @@ class ResultCollector {
   storage::ResultChecksum checksum_;
 };
 
+/// Grow-only scratch of the fragment kernels (exec/chain_executor). One
+/// batch runs at a time per context — the DQP and the shared multi-query
+/// loop both call ProcessBatch one fragment at a time — so every fragment
+/// of the context shares one set, and the buffers grow to the batch size
+/// once per context instead of once per fragment. The kernels track
+/// logical counts; the buffers carry stale tails between batches.
+struct KernelScratch {
+  std::vector<storage::Tuple> in;      // the popped batch
+  std::vector<storage::Tuple> work_a;  // operator outputs, alternating
+  std::vector<storage::Tuple> work_b;
+  TupleIdList sel;
+  std::vector<uint32_t> sel_ids;
+  std::vector<int64_t> probe_keys;
+  std::vector<uint64_t> probe_pos;  // a probe's bucket, then first match
+  std::vector<uint32_t> match_counts;
+  std::vector<int64_t> filter_charges;
+};
+
 /// Everything one execution needs, wired together.
 class ExecContext {
  public:
@@ -77,6 +97,7 @@ class ExecContext {
   storage::TempStore temps;
   storage::MemoryAccountant memory;
   ResultCollector result;
+  KernelScratch scratch;
 };
 
 }  // namespace dqsched::exec

@@ -1,26 +1,38 @@
-// Open-addressing hash index over a build operand's tuples.
+// Bucket-sorted hash index over a build operand's tuples.
 //
 // Built once when a probe chain opens, probed many times, never mutated
-// afterwards. Duplicate keys are stored as separate entries; a probe walks
-// the run of its home slot collecting every match (linear probing keeps
-// equal keys clustered, so lookups touch a contiguous slot range).
+// afterwards. The build is a counting sort: it hashes every row to a
+// bucket, takes a prefix sum of the bucket sizes, and scatters the rows
+// into their buckets in one stable pass. A bucket is one contiguous run of
+// entries, and the scatter keeps the rows of a bucket in input order, so a
+// key's matches come out in insertion order. Every entry carries the build
+// tuple's key, rowid and index: a probe that needs only the rowid never
+// touches the operand's tuples.
 
 #ifndef DQSCHED_EXEC_HASH_INDEX_H_
 #define DQSCHED_EXEC_HASH_INDEX_H_
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "sim/cost_model.h"
 #include "storage/tuple.h"
 #include "storage/tuple_pages.h"
 
 namespace dqsched::exec {
 
-/// Maps int64 keys to indexes into the operand's tuple vector.
+/// Maps int64 keys to the build tuples that carry them.
 class HashIndex {
  public:
+  /// One build row.
+  struct Entry {
+    int64_t key;
+    uint64_t rowid;  // the build tuple's rowid
+    uint32_t index;  // the build tuple's position in the operand
+  };
+  static_assert(sizeof(Entry) == 24, "entry layout drives host bytes");
+
   HashIndex() = default;
 
   /// Builds the index over `tuples` keyed on keys[field]. Any previous
@@ -33,131 +45,130 @@ class HashIndex {
   template <std::same_as<storage::TuplePages> Pages>
   void Build(const Pages& tuples, int field) {
     Reset(tuples.size(), field);
+    tuples.ForEachSpan([&](const storage::Tuple* run, int64_t n) {
+      CountRun(run, n, field);
+    });
+    PrefixSum();
     int64_t base = 0;
     tuples.ForEachSpan([&](const storage::Tuple* run, int64_t n) {
-      InsertRun(run, n, base, field);
+      ScatterRun(run, n, base, field);
       base += n;
     });
   }
 
-  /// Invokes fn(size_t index) for every entry whose key equals `key`.
+  /// Invokes fn(size_t index) for every entry whose key equals `key`, in
+  /// insertion order.
   template <typename Fn>
   void ForEachMatch(int64_t key, Fn&& fn) const {
-    if (slots_.empty()) return;
-    const uint64_t mask = slots_.size() - 1;
-    uint64_t pos = storage::Mix64(static_cast<uint64_t>(key)) & mask;
-    while (slots_[pos].index >= 0) {
-      if (slots_[pos].key == key) fn(static_cast<size_t>(slots_[pos].index));
-      pos = (pos + 1) & mask;
+    if (!built()) return;
+    const uint64_t b = BucketOf(key);
+    const uint32_t end = offsets_[b + 1];
+    for (uint32_t i = offsets_[b]; i < end; ++i) {
+      if (entries_[i].key == key) fn(static_cast<size_t>(entries_[i].index));
     }
   }
 
-  /// Hints the cache to load `key`'s home slot. Issue it one probe ahead
-  /// of ForEachMatch so the slot line is resident when the walk starts.
+  /// Hints the cache to load `key`'s bucket bounds. Call it one probe
+  /// ahead of ForEachMatch.
   void Prefetch(int64_t key) const {
+    if (built()) PrefetchBucket(BucketOf(key));
+  }
+
+  /// `key`'s bucket — the hash half of a probe, split out so a vectorized
+  /// kernel can hash a whole batch (issuing prefetches) before scanning
+  /// any bucket. Only valid while the index is built.
+  uint64_t BucketOf(int64_t key) const {
+    return storage::Mix64(static_cast<uint64_t>(key)) & mask_;
+  }
+
+  /// Hints the cache to load the bounds of `bucket` (a BucketOf result).
+  void PrefetchBucket(uint64_t bucket) const {
 #if defined(__GNUC__) || defined(__clang__)
-    if (slots_.empty()) return;
-    const uint64_t mask = slots_.size() - 1;
-    __builtin_prefetch(
-        &slots_[storage::Mix64(static_cast<uint64_t>(key)) & mask]);
+    __builtin_prefetch(&offsets_[bucket]);
 #else
-    (void)key;
+    (void)bucket;
 #endif
   }
 
-  /// `key`'s home slot position — the hash half of a probe, split out so a
-  /// vectorized kernel can hash a whole batch (issuing prefetches) before
-  /// walking any run. Only valid while the index is built and non-empty.
-  uint64_t HomeSlot(int64_t key) const {
-    return storage::Mix64(static_cast<uint64_t>(key)) & (slots_.size() - 1);
+  /// The count pass of a two-pass probe: returns the number of entries of
+  /// `bucket` (key's BucketOf) whose key equals `key`, and stores the
+  /// position of the first of them in *first.
+  uint32_t CountMatches(uint64_t bucket, int64_t key, uint64_t* first) const {
+    uint32_t i = offsets_[bucket];
+    const uint32_t end = offsets_[bucket + 1];
+    while (i < end && entries_[i].key != key) ++i;
+    *first = i;
+    uint32_t n = 0;
+    for (; i < end; ++i) n += entries_[i].key == key ? 1 : 0;
+    return n;
   }
 
-  /// Hints the cache to load slot `pos` (a HomeSlot result).
-  void PrefetchSlot(uint64_t pos) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[pos]);
-#else
-    (void)pos;
-#endif
-  }
-
-  /// No-match sentinel for FindFirstMatchFrom.
-  static constexpr uint64_t kNoMatch = ~uint64_t{0};
-
-  /// Walks the run from `pos` (key's HomeSlot) and returns the position of
-  /// the first entry matching `key`, or kNoMatch. The hash+count pass of a
-  /// two-pass vectorized probe stops here: the first occurrence's slot
-  /// carries the build-time duplicate count, so the pass never walks past
-  /// the first hit.
-  uint64_t FindFirstMatchFrom(uint64_t pos, int64_t key) const {
-    const uint64_t mask = slots_.size() - 1;
-    while (slots_[pos].index >= 0) {
-      if (slots_[pos].key == key) return pos;
-      pos = (pos + 1) & mask;
-    }
-    return kNoMatch;
-  }
-
-  /// Number of entries sharing the key of the entry at `pos`. Only valid
-  /// when `pos` is a FindFirstMatchFrom result (the first occurrence of
-  /// its key — later duplicates carry 0).
-  uint32_t MatchCountAt(uint64_t pos) const { return slots_[pos].count; }
-
-  /// Invokes fn(size_t index) for exactly `n` matches of `key`, walking
-  /// the run from `pos` (a FindFirstMatchFrom result) in the same order as
-  /// ForEachMatch and stopping as soon as the n-th match is collected.
+  /// The expansion pass: invokes fn(const Entry&) for exactly the `n`
+  /// matches of `key` counted from `first` (a CountMatches result), in the
+  /// same order as ForEachMatch.
   template <typename Fn>
-  void ForEachMatchFromN(uint64_t pos, int64_t key, uint32_t n,
+  void ForEachMatchFromN(uint64_t first, int64_t key, uint32_t n,
                          Fn&& fn) const {
-    const uint64_t mask = slots_.size() - 1;
-    while (n > 0) {
-      if (slots_[pos].key == key && slots_[pos].index >= 0) {
-        fn(static_cast<size_t>(slots_[pos].index));
+    for (const Entry* e = &entries_[first]; n > 0; ++e) {
+      if (e->key == key) {
+        fn(*e);
         --n;
       }
-      pos = (pos + 1) & mask;
     }
   }
 
-  int64_t entry_count() const { return entries_; }
-  bool built() const { return built_; }
+  int64_t entry_count() const { return size_; }
+  bool built() const { return !offsets_.empty(); }
 
-  /// Bytes this index occupies (matches EstimateBytes for the same n).
+  /// Host bytes this index holds; never above EstimateBytes of the largest
+  /// n built since the last Clear (a rebuild keeps the larger capacity).
   int64_t AllocatedBytes() const {
-    return static_cast<int64_t>(slots_.size() * sizeof(Slot));
+    return capacity_ * static_cast<int64_t>(sizeof(Entry)) +
+           static_cast<int64_t>(offsets_.capacity() * sizeof(uint32_t));
   }
 
-  /// Memory an index over `n` entries will occupy — the quantity granted
-  /// from the accountant before building. Consistent with
-  /// CostModel::hash_index_entry_bytes (2x slots at 16 bytes).
+  /// Memory an index over `n` entries is granted from the accountant
+  /// before building — the simulated grant, sized for the open-addressing
+  /// table CostModel::hash_index_entry_bytes was calibrated on. It is
+  /// fixed independently of the host layout, which stays below it.
   static int64_t EstimateBytes(int64_t n);
 
   void Clear() {
-    slots_.clear();
-    slots_.shrink_to_fit();
-    entries_ = 0;
-    built_ = false;
+    offsets_.clear();
+    offsets_.shrink_to_fit();
+    entries_.reset();
+    capacity_ = 0;
+    size_ = 0;
+    mask_ = 0;
   }
 
  private:
-  struct Slot {
-    int64_t key = 0;
-    int32_t index = -1;   // -1 = empty
-    uint32_t count = 0;   // duplicate count, on the key's first occurrence
-  };
-  static_assert(sizeof(Slot) == 16, "slot layout drives memory accounting");
+  /// Buckets for `n` entries: a power of two, at least n and at least 8.
+  static uint64_t BucketCountFor(int64_t n);
 
-  static uint64_t SlotCountFor(int64_t n);
-
-  /// Discards any content and sizes the slots for `n` entries.
+  /// Discards any content, sizes the entries for `n` rows and zeroes the
+  /// bucket counts.
   void Reset(int64_t n, int field);
-  /// Inserts run[0, n) as entries base .. base + n - 1.
-  void InsertRun(const storage::Tuple* run, int64_t n, int64_t base,
-                 int field);
+  /// Counts the rows of run[0, n) into their buckets.
+  void CountRun(const storage::Tuple* run, int64_t n, int field);
+  /// Turns the bucket counts into each bucket's first free position.
+  void PrefixSum();
+  /// Places run[0, n) as entries base .. base + n - 1, each at its
+  /// bucket's next free position.
+  void ScatterRun(const storage::Tuple* run, int64_t n, int64_t base,
+                  int field);
 
-  std::vector<Slot> slots_;
-  int64_t entries_ = 0;
-  bool built_ = false;
+  /// Bucket b holds entries [offsets_[b], offsets_[b + 1]). During the
+  /// build, offsets_[b + 2] counts bucket b and offsets_[b + 1] is its
+  /// scatter cursor, which ends at the bucket's end: the array needs no
+  /// second pass to turn cursors back into bounds.
+  std::vector<uint32_t> offsets_;
+  /// Not value-initialized: the scatter writes every entry before any
+  /// probe reads it.
+  std::unique_ptr<Entry[]> entries_;
+  int64_t capacity_ = 0;
+  int64_t size_ = 0;
+  uint64_t mask_ = 0;
 };
 
 }  // namespace dqsched::exec

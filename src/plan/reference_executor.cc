@@ -13,13 +13,8 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
   out.chains.resize(static_cast<size_t>(compiled.num_chains()));
   out.op_outputs.resize(static_cast<size_t>(compiled.num_chains()));
 
-  // Per join: the materialized build operand and its key index. The
-  // open-addressing HashIndex replaces an unordered_multimap here; it only
-  // changes the order in which a probe's matches are emitted, and every
-  // consumer of this result is order-insensitive (cardinalities and the
-  // commutative ResultChecksum).
-  std::vector<std::vector<Tuple>> operands(
-      static_cast<size_t>(compiled.num_joins));
+  // Per join: the key index over its materialized build operand. Its
+  // entries carry the build rowids, so the operand itself is not kept.
   std::vector<exec::HashIndex> indexes(
       static_cast<size_t>(compiled.num_joins));
 
@@ -27,7 +22,7 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
   // selection-vector filters and two-pass probes — just over whole
   // relations instead of batches, with no charging.
   exec::TupleIdList sel;
-  std::vector<uint64_t> homes;
+  std::vector<uint64_t> first;
   std::vector<uint32_t> counts;
 
   for (ChainId id : compiled.IteratorModelOrder()) {
@@ -55,23 +50,18 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
           break;
         }
         case ChainOpKind::kProbe: {
-          const auto& operand = operands[static_cast<size_t>(op.join)];
           const auto& index = indexes[static_cast<size_t>(op.join)];
           const size_t key_field =
               static_cast<size_t>(op.probe_key_field);
           const size_t n = cur.size();
-          homes.resize(n);
+          first.resize(n);
           counts.resize(n);
-          // Pass 1: hash + first-match slots carrying duplicate counts.
+          // Pass 1: each probe's match count and first match.
           int64_t total = 0;
           for (size_t i = 0; i < n; ++i) {
             const int64_t key = cur[i].keys[key_field];
-            const uint64_t home = index.HomeSlot(key);
-            index.PrefetchSlot(home);
-            homes[i] = index.FindFirstMatchFrom(home, key);
-            counts[i] = homes[i] == exec::HashIndex::kNoMatch
-                            ? 0
-                            : index.MatchCountAt(homes[i]);
+            counts[i] =
+                index.CountMatches(index.BucketOf(key), key, &first[i]);
             total += counts[i];
           }
           // Pass 2: expansion at precomputed size.
@@ -81,10 +71,10 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
             if (counts[i] == 0) continue;
             const Tuple& t = cur[i];
             index.ForEachMatchFromN(
-                homes[i], t.keys[key_field], counts[i], [&](size_t match) {
+                first[i], t.keys[key_field], counts[i],
+                [&](const exec::HashIndex::Entry& e) {
                   Tuple r = t;  // probe-side fields carry through
-                  r.rowid = storage::CombineRowid(operand[match].rowid,
-                                                  t.rowid);
+                  r.rowid = storage::CombineRowid(e.rowid, t.rowid);
                   next[off++] = r;
                 });
           }
@@ -104,9 +94,7 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
     } else {
       const int field =
           compiled.join_build_field[static_cast<size_t>(chain.sink_join)];
-      auto& operand = operands[static_cast<size_t>(chain.sink_join)];
-      operand = std::move(cur);
-      indexes[static_cast<size_t>(chain.sink_join)].Build(operand, field);
+      indexes[static_cast<size_t>(chain.sink_join)].Build(cur, field);
     }
   }
   return out;
