@@ -74,8 +74,10 @@ void BM_ComputePlan(benchmark::State& state) {
                                     core::ExecutionOptions{});
     core::Dqs dqs(core::DqsConfig{});
     core::Dqo dqo;
+    core::SchedulingPlan sp;
     state.ResumeTiming();
-    auto sp = dqs.ComputePlan(exec_state, *fixture.ctx, dqo);
+    const Status planned = dqs.ComputePlan(exec_state, *fixture.ctx, dqo, &sp);
+    benchmark::DoNotOptimize(planned);
     benchmark::DoNotOptimize(sp);
   }
   state.SetLabel(std::to_string(fixture.compiled.num_chains()) + " chains");

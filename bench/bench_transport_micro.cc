@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) isolating the simulation data
-// plane: ring-buffer queue throughput, wrapper->queue bulk pumping under
-// the window protocol, and the event-indexed idle pump. These are the
-// primitives every strategy run pays per tuple; bench_suite measures their
-// end-to-end effect, this binary isolates them.
+// plane: one pump plus one span pop per batch, wrapper->queue bulk pumping
+// under the window protocol, and the event-indexed idle pump. These are
+// the primitives every strategy run pays per batch; bench_suite measures
+// their end-to-end effect, this binary isolates them.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "comm/comm_manager.h"
-#include "comm/tuple_queue.h"
 #include "storage/relation.h"
 #include "wrapper/wrapper.h"
 
@@ -31,20 +30,39 @@ wrapper::DelayConfig ConstantDelay(double us) {
   return d;
 }
 
-/// Raw ring-buffer throughput: span pushes and pops of `batch` tuples
-/// cycling through a 1024-slot queue (wraparound every iteration).
-void BM_QueuePushPopBatch(benchmark::State& state) {
+/// The transport's per-batch cost: a CommManager pump that delivers one
+/// batch of `batch` tuples (1 tuple/us, pumped every `batch` us) and the
+/// span pop that consumes it, read in place from the relation.
+void BM_PumpSpanPop(benchmark::State& state) {
   const int64_t batch = state.range(0);
-  const storage::Relation rel = MakeRelation(batch, 0);
-  comm::TupleQueue q(1024);
-  std::vector<storage::Tuple> out(static_cast<size_t>(batch));
+  const storage::Relation rel = MakeRelation(int64_t{1} << 16, 0);
+  comm::CommConfig config;
+  config.queue_capacity = 1024;
+  std::unique_ptr<comm::CommManager> cm;
+  SimTime t = 0;
+  auto restart = [&] {
+    cm = std::make_unique<comm::CommManager>(config);
+    cm->AddSource(std::make_unique<wrapper::SimWrapper>(0, &rel,
+                                                        ConstantDelay(1.0), 1),
+                  /*prior_wait_ns=*/1000.0);
+    t = 0;
+  };
+  restart();
   for (auto _ : state) {
-    q.PushBatch(rel.tuples.data(), batch);
-    benchmark::DoNotOptimize(q.PopBatch(out.data(), batch));
+    if (cm->SourceExhausted(0)) {
+      state.PauseTiming();
+      restart();
+      state.ResumeTiming();
+    }
+    t += Microseconds(static_cast<double>(batch));
+    cm->PumpAll(t);
+    const comm::TupleSpan span = cm->PopSpan(0, t, batch);
+    benchmark::DoNotOptimize(span.data);
+    benchmark::DoNotOptimize(span.count);
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_QueuePushPopBatch)->Arg(1)->Arg(64)->Arg(512);
+BENCHMARK(BM_PumpSpanPop)->Arg(1)->Arg(64)->Arg(512);
 
 /// Full wrapper->queue->consumer transport of a relation through the
 /// window protocol (queue smaller than the relation, so production

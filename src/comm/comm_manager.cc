@@ -21,6 +21,7 @@ void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
   if (config_.serial_transport) w->set_serial_delivery(true);
   wrappers_.push_back(std::move(w));
   queues_.push_back(std::make_unique<TupleQueue>(config_.queue_capacity));
+  cursor_.push_back(0);
   auto est = std::make_unique<RateEstimator>(config_.estimator_alpha);
   est->SetPrior(prior_wait_ns);
   estimators_.push_back(std::move(est));
@@ -115,20 +116,32 @@ void CommManager::PumpAll(SimTime now) {
   }
 }
 
-int64_t CommManager::Pop(SourceId source, SimTime now, storage::Tuple* out,
-                         int64_t max) {
+TupleSpan CommManager::PopSpan(SourceId source, SimTime now, int64_t max) {
   const size_t i = static_cast<size_t>(source);
   auto& w = *wrappers_[i];
-  auto& q = *queues_[i];
   if (w.NextArrival() <= now) PumpSource(i, now);
-  const int64_t n = fault_state_[i].windows.empty()
-                        ? q.PopBatch(out, max)
-                        : PopDeduped(i, out, max);
+  const int64_t n = fault_state_[i].windows.empty() ? queues_[i]->Pop(max)
+                                                    : PopDeduped(i, max);
+  const TupleSpan span{w.relation().tuples.data() + cursor_[i], n};
+  cursor_[i] += n;
   if (n > 0) ++source_version_[i];
   // Draining may unblock a suspended producer: its pending tuple enters at
   // the drain time.
   if (w.Suspended() || w.NextArrival() <= now) PumpSource(i, now);
-  return n;
+  DQS_DCHECK_MSG(cursor_[i] + FreshInQueue(i) == FreshDelivered(i),
+                 "source %d: cursor %lld + %lld fresh queued, but %lld fresh "
+                 "delivered",
+                 source, static_cast<long long>(cursor_[i]),
+                 static_cast<long long>(FreshInQueue(i)),
+                 static_cast<long long>(FreshDelivered(i)));
+  return span;
+}
+
+int64_t CommManager::Pop(SourceId source, SimTime now, storage::Tuple* out,
+                         int64_t max) {
+  const TupleSpan span = PopSpan(source, now, max);
+  std::copy_n(span.data, span.count, out);
+  return span.count;
 }
 
 int64_t CommManager::Available(SourceId source, SimTime now) {
@@ -277,9 +290,11 @@ void CommManager::IngestReplayWindows(size_t i) {
   }
 }
 
-int64_t CommManager::PopDeduped(size_t i, storage::Tuple* out, int64_t max) {
+int64_t CommManager::PopDeduped(size_t i, int64_t max) {
   TupleQueue& q = *queues_[i];
   SourceFaultState& fs = fault_state_[i];
+  // Fresh tuples between duplicate runs are consecutive relation indices,
+  // so a pop that straddles a discarded window is still one span.
   int64_t produced = 0;
   while (produced < max) {
     DiscardDupPrefix(i);
@@ -289,7 +304,7 @@ int64_t CommManager::PopDeduped(size_t i, storage::Tuple* out, int64_t max) {
     if (!fs.windows.empty()) {
       want = std::min(want, fs.windows.front().begin - q.total_popped());
     }
-    const int64_t got = q.PopBatch(out + produced, want);
+    const int64_t got = q.Pop(want);
     if (got == 0) break;
     produced += got;
   }
@@ -308,13 +323,10 @@ bool CommManager::DiscardDupPrefix(size_t i) {
     if (fs.windows.empty() || q.Empty()) break;
     const int64_t pos = q.total_popped();
     if (pos < fs.windows.front().begin) break;
-    // The head of the queue is a run of replayed duplicates: pop them into
-    // scratch and drop them. Discards never count as consumed tuples.
-    const int64_t dup = std::min(fs.windows.front().end - pos, q.size());
-    if (static_cast<int64_t>(discard_scratch_.size()) < dup) {
-      discard_scratch_.resize(static_cast<size_t>(dup));
-    }
-    const int64_t got = q.PopBatch(discard_scratch_.data(), dup);
+    // The head of the queue is a run of replayed duplicates: pop them
+    // without moving the cursor. Discards never count as consumed tuples.
+    const int64_t got =
+        q.Pop(std::min(fs.windows.front().end - pos, q.size()));
     fs.replay_discarded += got;
     replay_discarded_total_ += got;
     if (got > 0) ++source_version_[i];
@@ -330,6 +342,15 @@ int64_t CommManager::FreshInQueue(size_t i) const {
     const int64_t b = std::max(w.begin, q.total_popped());
     const int64_t e = std::min(w.end, q.total_pushed());
     if (e > b) fresh -= e - b;
+  }
+  return fresh;
+}
+
+int64_t CommManager::FreshDelivered(size_t i) const {
+  const int64_t delivered = wrappers_[i]->stats().tuples_delivered;
+  int64_t fresh = delivered;
+  for (const wrapper::ReplayWindow& w : wrappers_[i]->replay_windows()) {
+    fresh -= std::max<int64_t>(0, std::min(w.end, delivered) - w.begin);
   }
   return fresh;
 }

@@ -1,11 +1,12 @@
 // The Communication Manager (CM) of the paper's architecture (Section 3.1).
 //
-// Owns the simulated wrappers, their bounded tuple queues (window-protocol
-// flow control), and a delivery-rate estimator per source. The query
-// processor consumes exclusively through this class; the CM lazily pumps
-// wrapper production up to the current virtual time, which is equivalent to
-// the asynchronous producer/consumer of the paper in a single-threaded
-// discrete-event setting.
+// Owns the simulated wrappers, their bounded queues (window-protocol flow
+// control), and a delivery-rate estimator per source. The query processor
+// consumes exclusively through this class; the CM lazily pumps wrapper
+// production up to the current virtual time, which is equivalent to the
+// asynchronous producer/consumer of the paper in a single-threaded
+// discrete-event setting. Queues count tuples and hold none: a pop hands
+// out a span of the source's relation (DESIGN.md §7.1).
 
 #ifndef DQSCHED_COMM_COMM_MANAGER_H_
 #define DQSCHED_COMM_COMM_MANAGER_H_
@@ -67,6 +68,13 @@ struct CommConfig {
   SimDuration dead_silence_floor = Milliseconds(500);
 };
 
+/// Consecutive tuples of one source's relation, read in place: what one
+/// pop consumed.
+struct TupleSpan {
+  const storage::Tuple* data = nullptr;
+  int64_t count = 0;
+};
+
 /// Liveness transition emitted by the failure detector; drained by the
 /// query processor (Dqp::RunPhase) and surfaced as SourceDown /
 /// SourceRecovered events alongside the rate-change signal.
@@ -107,8 +115,16 @@ class CommManager {
   /// min-heap over SimWrapper::NextArrival(), so an idle pump is O(1).
   void PumpAll(SimTime now);
 
-  /// Pops up to `max` tuples of `source`, after pumping; pumps again after
-  /// popping so a suspended producer resumes immediately (window protocol).
+  /// Pops up to `max` fresh tuples of `source`, after pumping; pumps again
+  /// after popping so a suspended producer resumes immediately (window
+  /// protocol). Replayed duplicates are discarded by position, and fresh
+  /// tuples arrive in relation-index order, so the pop is always the span
+  /// `relation.tuples[k, k + count)` for the source's consumption cursor
+  /// k. The span lives as long as the relation.
+  TupleSpan PopSpan(SourceId source, SimTime now, int64_t max);
+
+  /// Copying adaptor over PopSpan: copies the span into `out` and returns
+  /// its count.
   int64_t Pop(SourceId source, SimTime now, storage::Tuple* out, int64_t max);
 
   /// Tuples ready for consumption right now (pumps first).
@@ -304,13 +320,17 @@ class CommManager {
   void OnDelivery(size_t i);
   /// Copies new replay windows from the wrapper (fault runs only).
   void IngestReplayWindows(size_t i);
-  /// Pop that discards replayed duplicates by absolute position.
-  int64_t PopDeduped(size_t i, storage::Tuple* out, int64_t max);
+  /// Pop that discards replayed duplicates by absolute position; returns
+  /// the fresh tuples popped.
+  int64_t PopDeduped(size_t i, int64_t max);
   /// Drops the run of replayed duplicates at the queue head, if any.
   /// Returns whether anything was discarded (capacity may have freed).
   bool DiscardDupPrefix(size_t i);
   /// Queued tuples that are not pending replay duplicates.
   int64_t FreshInQueue(size_t i) const;
+  /// Fresh (non-duplicate) tuples wrapper `i` has delivered, from its own
+  /// stats and replay windows: the audit reference for `cursor_[i]`.
+  int64_t FreshDelivered(size_t i) const;
   SimDuration SuspectTimeout(size_t i) const;
   SimDuration DeadTimeout(size_t i) const;
   /// Liveness is tracked only for sources that can still deliver.
@@ -336,6 +356,10 @@ class CommManager {
   CommConfig config_;
   std::vector<std::unique_ptr<wrapper::SimWrapper>> wrappers_;
   std::vector<std::unique_ptr<TupleQueue>> queues_;
+  /// Fresh tuples of source i popped so far: its next pop starts at
+  /// relation index cursor_[i]. The audit build checks cursor_[i] +
+  /// FreshInQueue(i) == FreshDelivered(i) after every pop.
+  std::vector<int64_t> cursor_;
   std::vector<std::unique_ptr<RateEstimator>> estimators_;
   std::vector<PlanSnapshot> snapshots_;
   /// Min-heap of (next arrival, source). `heap_key_[i]` is the only live
@@ -368,8 +392,6 @@ class CommManager {
   /// Scratch for UpdateFaultState's due set.
   std::vector<int> due_;
   std::deque<FaultSignal> fault_signals_;
-  /// Scratch for popping duplicates into oblivion.
-  std::vector<storage::Tuple> discard_scratch_;
   int64_t suspicions_ = 0;
   int64_t declared_dead_ = 0;
   int64_t recoveries_ = 0;

@@ -161,7 +161,6 @@ Result<ExecutionMetrics> DphjRun::Run() {
     chain_of_source[static_cast<size_t>(chain.source)] = chain.id;
   }
 
-  std::vector<Tuple> buffer(static_cast<size_t>(config_.batch_size));
   const int num_sources = ctx_.comm.num_sources();
   int64_t guard = 0;
   for (;;) {
@@ -172,15 +171,17 @@ Result<ExecutionMetrics> DphjRun::Run() {
     for (SourceId s = 0; s < num_sources; ++s) {
       if (ctx_.comm.SourceExhausted(s)) continue;
       all_done = false;
-      const int64_t n = ctx_.comm.Pop(s, ctx_.clock.now(), buffer.data(),
-                                      config_.batch_size);
+      // The batch is read in place from the source's relation.
+      const comm::TupleSpan batch =
+          ctx_.comm.PopSpan(s, ctx_.clock.now(), config_.batch_size);
+      const int64_t n = batch.count;
       if (n == 0) continue;
       worked = true;
       instr_ = n * ctx_.cost->instr_move_tuple;  // the scan's moves
       ctx_.clock.Advance(ctx_.net.ChargeReceive(s, n));
       const ChainId c = chain_of_source.at(s);
       for (int64_t i = 0; i < n; ++i) {
-        Status routed = RouteAlongChain(c, 0, buffer[static_cast<size_t>(i)]);
+        Status routed = RouteAlongChain(c, 0, batch.data[i]);
         if (!routed.ok()) {
           ctx_.memory.Release(granted_);
           return routed;

@@ -37,10 +37,13 @@ Status Dqo::HandleMemoryOverflow(ExecutionState& state,
       }
     }
     if (victim == nullptr) break;
-    state.trace().Record(ctx.clock.now(), TraceEventKind::kOperandSpill, -1,
-                         victim->name() + " evicted (" +
-                             std::to_string(victim->cardinality()) +
-                             " tuples)");
+    if (state.trace().enabled()) {
+      state.trace().Record(ctx.clock.now(), TraceEventKind::kOperandSpill,
+                           -1,
+                           victim->name() + " evicted (" +
+                               std::to_string(victim->cardinality()) +
+                               " tuples)");
+    }
     victim->SpillToDisk(ctx);
     ++spills_;
   }
@@ -61,9 +64,11 @@ Status Dqo::HandleMemoryOverflow(ExecutionState& state,
     exec::Operand& operand = state.operands().Get(op.join);
     if (operand.sealed() && !operand.loaded() &&
         operand.resident_bytes() > 0) {
-      state.trace().Record(ctx.clock.now(), TraceEventKind::kOperandSpill,
-                           -1, operand.name() + " evicted for staged "
-                           "reload");
+      if (state.trace().enabled()) {
+        state.trace().Record(ctx.clock.now(), TraceEventKind::kOperandSpill,
+                             -1,
+                             operand.name() + " evicted for staged reload");
+      }
       operand.SpillToDisk(ctx);
       ++spills_;
     }

@@ -21,11 +21,11 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
   // per-iteration call sequence: Available() on temp-backed sources issues
   // charged disk reads that advance the virtual clock, so pass order and
   // short-circuiting are observable in the simulated metrics.
-  std::vector<exec::FragmentRuntime*> frags(n, nullptr);
+  frags_.assign(n, nullptr);
   bool any_active = false;
   for (size_t k = 0; k < n; ++k) {
     if (state.FragmentActive(sp.fragments[k])) {
-      frags[k] = &state.fragment(sp.fragments[k]);
+      frags_[k] = &state.fragment(sp.fragments[k]);
       any_active = true;
     }
   }
@@ -35,8 +35,10 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
 
     // Abnormal interruption: the query's virtual-time budget expired.
     if (config_.deadline > 0 && ctx.clock.now() >= config_.deadline) {
-      state.trace().Record(ctx.clock.now(), TraceEventKind::kDeadline, -1,
-                           "query deadline expired");
+      if (state.trace().enabled()) {
+        state.trace().Record(ctx.clock.now(), TraceEventKind::kDeadline, -1,
+                             "query deadline expired");
+      }
       return Event{EventKind::kDeadlineExceeded, -1};
     }
 
@@ -47,15 +49,17 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
       comm::FaultSignal sig;
       if (ctx.comm.TakeFaultSignal(&sig)) {
         const bool down = sig.kind != comm::FaultSignal::Kind::kRecovered;
-        state.trace().Record(
-            ctx.clock.now(),
-            down ? TraceEventKind::kSourceDown
-                 : TraceEventKind::kSourceRecovered,
-            -1,
-            "source " + std::to_string(sig.source) +
-                (sig.kind == comm::FaultSignal::Kind::kDead
-                     ? " declared dead"
-                     : (down ? " suspected down" : " recovered")));
+        if (state.trace().enabled()) {
+          state.trace().Record(
+              ctx.clock.now(),
+              down ? TraceEventKind::kSourceDown
+                   : TraceEventKind::kSourceRecovered,
+              -1,
+              "source " + std::to_string(sig.source) +
+                  (sig.kind == comm::FaultSignal::Kind::kDead
+                       ? " declared dead"
+                       : (down ? " suspected down" : " recovered")));
+        }
         Event evt{down ? EventKind::kSourceDown : EventKind::kSourceRecovered,
                   -1};
         evt.source = sig.source;
@@ -66,14 +70,16 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
     // Abnormal interruption: delivery rates drifted from the planning
     // snapshot; the scheduling plan may be stale.
     if (ctx.comm.RateChangedSincePlan(ctx.clock.now())) {
-      state.trace().Record(ctx.clock.now(), TraceEventKind::kRateChange, -1,
-                           "delivery-rate estimates drifted");
+      if (state.trace().enabled()) {
+        state.trace().Record(ctx.clock.now(), TraceEventKind::kRateChange,
+                             -1, "delivery-rate estimates drifted");
+      }
       return Event{EventKind::kRateChange, -1};
     }
 
     // Normal interruption: a fragment's input is exhausted and drained.
     for (size_t k = 0; k < n; ++k) {
-      exec::FragmentRuntime* frag = frags[k];
+      exec::FragmentRuntime* frag = frags_[k];
       if (frag != nullptr && frag->Finished(ctx) && frag->Available(ctx) == 0) {
         return Event{EventKind::kEndOfQf, sp.fragments[k]};
       }
@@ -94,7 +100,7 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
     const bool relief_turn = (batches_ & 1) != 0;
     if (relief_turn) {
       for (size_t k = 0; k < n && chosen < 0; ++k) {
-        exec::FragmentRuntime* frag = frags[k];
+        exec::FragmentRuntime* frag = frags_[k];
         if (frag == nullptr) continue;
         if (frag->Backpressured(ctx) && frag->Available(ctx) > 0) {
           chosen = sp.fragments[k];
@@ -104,7 +110,7 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
     }
     for (size_t k = 0; k < n && chosen < 0; ++k) {
       const size_t slot = config_.round_robin ? (rr_cursor_ + k) % n : k;
-      exec::FragmentRuntime* frag = frags[slot];
+      exec::FragmentRuntime* frag = frags_[slot];
       if (frag == nullptr) continue;
       const int64_t avail = frag->Available(ctx);
       if (avail <= 0) continue;
@@ -116,7 +122,7 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
       }
     }
     for (size_t k = 0; k < n && chosen < 0; ++k) {
-      exec::FragmentRuntime* frag = frags[k];
+      exec::FragmentRuntime* frag = frags_[k];
       if (frag == nullptr) continue;
       if (frag->Backpressured(ctx) && frag->Available(ctx) > 0) {
         chosen = sp.fragments[k];
@@ -124,7 +130,7 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
       }
     }
     for (size_t k = 0; k < n && chosen < 0; ++k) {
-      exec::FragmentRuntime* frag = frags[k];
+      exec::FragmentRuntime* frag = frags_[k];
       if (frag == nullptr) continue;
       if (frag->Available(ctx) > 0) {
         chosen = sp.fragments[k];
@@ -138,10 +144,12 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
       if (!consumed.ok()) {
         if (consumed.status().code() == StatusCode::kResourceExhausted) {
           // M-schedulability violated at open: hand to the DQO.
-          state.trace().Record(ctx.clock.now(),
-                               TraceEventKind::kMemoryOverflow, chosen,
-                               frag.name() + ": " +
-                                   consumed.status().message());
+          if (state.trace().enabled()) {
+            state.trace().Record(ctx.clock.now(),
+                                 TraceEventKind::kMemoryOverflow, chosen,
+                                 frag.name() + ": " +
+                                     consumed.status().message());
+          }
           return Event{EventKind::kMemoryOverflow, chosen};
         }
         return consumed.status();
@@ -150,8 +158,10 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
       stalled_this_phase = 0;  // the timeout measures *consecutive* starvation
       state.trace().RecordBatch(ctx.clock.now(), chosen, consumed.value());
       if (frag.Finished(ctx)) {
-        state.trace().Record(ctx.clock.now(), TraceEventKind::kEndOfQf,
-                             chosen, frag.name() + " finished");
+        if (state.trace().enabled()) {
+          state.trace().Record(ctx.clock.now(), TraceEventKind::kEndOfQf,
+                               chosen, frag.name() + " finished");
+        }
         return Event{EventKind::kEndOfQf, chosen};
       }
       if (config_.slice_batches > 0 &&
@@ -169,8 +179,8 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
     // fragments that are scheduled").
     SimTime next = kSimTimeNever;
     for (size_t k = 0; k < n; ++k) {
-      if (frags[k] == nullptr) continue;
-      next = std::min(next, frags[k]->NextArrival(ctx));
+      if (frags_[k] == nullptr) continue;
+      next = std::min(next, frags_[k]->NextArrival(ctx));
     }
     // A silent (possibly failed) source never schedules an arrival, so the
     // detector's thresholds bound the stall: the clock must reach them for
@@ -190,8 +200,10 @@ Result<Event> Dqp::RunPhase(ExecutionState& state, const SchedulingPlan& sp,
     if (stalled_this_phase + wait > config_.stall_timeout) {
       ctx.clock.StallUntil(ctx.clock.now() +
                            (config_.stall_timeout - stalled_this_phase));
-      state.trace().Record(ctx.clock.now(), TraceEventKind::kTimeout, -1,
-                           "all scheduled fragments starved");
+      if (state.trace().enabled()) {
+        state.trace().Record(ctx.clock.now(), TraceEventKind::kTimeout, -1,
+                             "all scheduled fragments starved");
+      }
       return Event{EventKind::kTimeout, -1};
     }
     stalled_this_phase += wait;

@@ -9,6 +9,8 @@
 #ifndef DQSCHED_CORE_DQP_H_
 #define DQSCHED_CORE_DQP_H_
 
+#include <vector>
+
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "core/dqs.h"
@@ -43,8 +45,8 @@ struct DqpConfig {
   SimTime deadline = 0;
 };
 
-/// The processor. Owns no state besides counters; fragments live in the
-/// ExecutionState.
+/// The processor. Owns no state besides counters and per-phase scratch;
+/// fragments live in the ExecutionState.
 class Dqp {
  public:
   explicit Dqp(const DqpConfig& config) : config_(config) {}
@@ -62,6 +64,9 @@ class Dqp {
   int64_t execution_phases_ = 0;
   int64_t batches_ = 0;
   int rr_cursor_ = 0;
+  /// The phase's resolved runtimes, parallel to the plan's fragments
+  /// (null = inactive); reused across phases.
+  std::vector<exec::FragmentRuntime*> frags_;
 };
 
 }  // namespace dqsched::core

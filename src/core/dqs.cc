@@ -49,8 +49,8 @@ double Dqs::Bmi(const ExecutionState& state, const exec::ExecContext& ctx,
   return w / (2.0 * io);
 }
 
-Result<SchedulingPlan> Dqs::ComputePlan(ExecutionState& state,
-                                        exec::ExecContext& ctx, Dqo& dqo) {
+Status Dqs::ComputePlan(ExecutionState& state, exec::ExecContext& ctx,
+                        Dqo& dqo, SchedulingPlan* plan) {
   const auto host_start = HostClock::Now();
   ++planning_phases_;
   // Step 1: snapshot the delivery-rate estimates; future RateChange
@@ -264,7 +264,9 @@ Result<SchedulingPlan> Dqs::ComputePlan(ExecutionState& state,
 
   // Step 6: greedy memory admission. Fragments already holding grants are
   // free; unopened ones reserve their open cost against what is left.
-  SchedulingPlan sp;
+  SchedulingPlan& sp = *plan;
+  sp.fragments.clear();
+  sp.critical_ns.clear();
   int64_t remaining = ctx.memory.available();
   for (int idx : cache_.order) {
     const Candidate& cand = cache_.candidates[static_cast<size_t>(idx)];
@@ -292,12 +294,14 @@ Result<SchedulingPlan> Dqs::ComputePlan(ExecutionState& state,
     return Status::Internal(
         "scheduler produced an empty plan with the query unfinished");
   }
-  state.trace().Record(ctx.clock.now(), TraceEventKind::kPlanningPhase, -1,
-                       std::to_string(sp.fragments.size()) +
-                           " fragments scheduled");
+  if (state.trace().enabled()) {
+    state.trace().Record(ctx.clock.now(), TraceEventKind::kPlanningPhase, -1,
+                         std::to_string(sp.fragments.size()) +
+                             " fragments scheduled");
+  }
   // Audit point: the plan just derived must itself be C-/M-schedulable.
   DQS_AUDIT(AuditSchedulingPlan(state, sp, ctx));
-  return sp;
+  return Status::Ok();
 }
 
 }  // namespace dqsched::core

@@ -63,11 +63,13 @@ class Dqs {
  public:
   explicit Dqs(const DqsConfig& config) : config_(config) {}
 
-  /// Produces the next scheduling plan, mutating `state` (degradations, CF
-  /// activations, DQO-mediated splits). An empty plan with the query
-  /// unfinished is an internal error.
-  Result<SchedulingPlan> ComputePlan(ExecutionState& state,
-                                     exec::ExecContext& ctx, Dqo& dqo);
+  /// Produces the next scheduling plan into `plan`, mutating `state`
+  /// (degradations, CF activations, DQO-mediated splits). `plan` is the
+  /// caller's and is overwritten; reusing one across phases keeps planning
+  /// allocation-free. An empty plan with the query unfinished is an
+  /// internal error.
+  Status ComputePlan(ExecutionState& state, exec::ExecContext& ctx, Dqo& dqo,
+                     SchedulingPlan* plan);
 
   /// Critical degree of chain p: n_p * (w_p - c_p) in nanoseconds (paper
   /// Section 4.3) with n_p the tuples still to arrive, w_p the estimated

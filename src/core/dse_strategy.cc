@@ -17,12 +17,12 @@ Result<ExecutionMetrics> RunDseImpl(ExecutionState& state,
   Dqo dqo;
   StrategyCounters counters;
 
+  SchedulingPlan sp;  // refilled by every planning phase
   int64_t guard = 0;
   while (!state.QueryDone()) {
     DQS_CHECK_MSG(++guard < (1LL << 40), "DSE livelock");
-    Result<SchedulingPlan> sp = dqs.ComputePlan(state, ctx, dqo);
-    if (!sp.ok()) return sp.status();
-    Result<Event> evt = dqp.RunPhase(state, *sp, ctx);
+    DQS_RETURN_IF_ERROR(dqs.ComputePlan(state, ctx, dqo, &sp));
+    Result<Event> evt = dqp.RunPhase(state, sp, ctx);
     if (!evt.ok()) return evt.status();
     switch (evt->kind) {
       case EventKind::kEndOfQf:

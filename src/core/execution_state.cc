@@ -158,8 +158,10 @@ int ExecutionState::Degrade(ChainId chain, exec::ExecContext& ctx) {
   slot.is_mf = true;
   fragments_.push_back(std::move(slot));
   st.mf_fragment = num_fragments() - 1;
-  trace_.Record(ctx.clock.now(), TraceEventKind::kDegradation,
-                st.mf_fragment, "MF(" + info.name + ") created");
+  if (trace_.enabled()) {
+    trace_.Record(ctx.clock.now(), TraceEventKind::kDegradation,
+                  st.mf_fragment, "MF(" + info.name + ") created");
+  }
   return st.mf_fragment;
 }
 
@@ -192,9 +194,11 @@ void ExecutionState::ActivateCf(ChainId chain, exec::ExecContext& ctx) {
                 "CF activation over a started chain %s", info.name.c_str());
   slot.runtime = std::make_unique<FragmentRuntime>(
       std::move(spec), std::move(source), &operands_, result_);
-  trace_.Record(ctx.clock.now(), TraceEventKind::kCfActivation, chain,
-                "CF(" + info.name + ") resumes from the materialized "
-                "prefix");
+  if (trace_.enabled()) {
+    trace_.Record(ctx.clock.now(), TraceEventKind::kCfActivation, chain,
+                  "CF(" + info.name + ") resumes from the materialized "
+                  "prefix");
+  }
 }
 
 Status ExecutionState::SplitForMemory(ChainId chain, exec::ExecContext& ctx,
@@ -280,9 +284,11 @@ Status ExecutionState::SplitForMemory(ChainId chain, exec::ExecContext& ctx,
   st.stages.insert(st.stages.begin(),
                    std::make_move_iterator(new_stages.begin()),
                    std::make_move_iterator(new_stages.end()));
-  trace_.Record(ctx.clock.now(), TraceEventKind::kDqoSplit, chain,
-                info.name + " split into " +
-                    std::to_string(new_stages.size() + 1) + " stages");
+  if (trace_.enabled()) {
+    trace_.Record(ctx.clock.now(), TraceEventKind::kDqoSplit, chain,
+                  info.name + " split into " +
+                      std::to_string(new_stages.size() + 1) + " stages");
+  }
   return Status::Ok();
 }
 
@@ -324,8 +330,10 @@ void ExecutionState::BindChainToCachedSegment(ChainId chain, TempId temp,
   slot.runtime = std::make_unique<FragmentRuntime>(
       std::move(spec), std::make_unique<TempSource>(temp, options_.async_io),
       &operands_, result_);
-  trace_.Record(ctx.clock.now(), TraceEventKind::kCacheHit, chain,
-                info.name + " rebound to cached segment");
+  if (trace_.enabled()) {
+    trace_.Record(ctx.clock.now(), TraceEventKind::kCacheHit, chain,
+                  info.name + " rebound to cached segment");
+  }
 }
 
 bool ExecutionState::CacheBound(ChainId chain) const {
@@ -430,8 +438,10 @@ void ExecutionState::Cancel(exec::ExecContext& ctx) {
   for (TempId t : owned_temps_) {
     if (!ctx.temps.IsDropped(t)) ctx.temps.Drop(t);
   }
-  trace_.Record(ctx.clock.now(), TraceEventKind::kCancelled, kInvalidId,
-                "query cancelled; grants released, temps dropped");
+  if (trace_.enabled()) {
+    trace_.Record(ctx.clock.now(), TraceEventKind::kCancelled, kInvalidId,
+                  "query cancelled; grants released, temps dropped");
+  }
   // The conservation laws must still balance on the cancelled husk.
   DQS_AUDIT(AuditExecutionState(*this, ctx));
 }

@@ -82,11 +82,7 @@ int SharedQueryLoop::AddQuery(const SharedQueryDesc& desc) {
 
 Status SharedQueryLoop::BuildPlan(QueryRun& run) {
   if (options_.strategy == StrategyKind::kDse) {
-    Result<SchedulingPlan> sp = run.dqs->ComputePlan(*run.state, *ctx_,
-                                                     *run.dqo);
-    if (!sp.ok()) return sp.status();
-    run.sp = std::move(sp.value());
-    return Status::Ok();
+    return run.dqs->ComputePlan(*run.state, *ctx_, *run.dqo, &run.sp);
   }
   // kSeq: the current chain of the iterator order, alone.
   while (run.seq_cursor < run.seq_order.size() &&
@@ -94,10 +90,9 @@ Status SharedQueryLoop::BuildPlan(QueryRun& run) {
     ++run.seq_cursor;
   }
   DQS_CHECK(run.seq_cursor < run.seq_order.size());
-  run.sp = SchedulingPlan{};
-  run.sp.fragments.push_back(
-      run.state->ChainFragment(run.seq_order[run.seq_cursor]));
-  run.sp.critical_ns.push_back(0.0);
+  run.sp.fragments.assign(
+      1, run.state->ChainFragment(run.seq_order[run.seq_cursor]));
+  run.sp.critical_ns.assign(1, 0.0);
   return Status::Ok();
 }
 

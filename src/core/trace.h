@@ -5,8 +5,10 @@
 // interruption event is recorded with its virtual timestamp, and the
 // per-fragment batch activity can be rendered as an ASCII timeline.
 //
-// Tracing is off by default (zero overhead beyond a branch); enable it
-// via MediatorConfig::trace or ExecutionTrace::set_enabled.
+// Tracing is off by default; enable it via MediatorConfig::trace or
+// ExecutionTrace::set_enabled. Every Record site builds its detail string
+// only under `if (trace.enabled())`, so tracing off costs one branch and
+// no allocation.
 
 #ifndef DQSCHED_CORE_TRACE_H_
 #define DQSCHED_CORE_TRACE_H_

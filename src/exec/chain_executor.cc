@@ -1,5 +1,6 @@
 #include "exec/chain_executor.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 
@@ -51,9 +52,9 @@ Result<int64_t> FragmentRuntime::ProcessBatch(ExecContext& ctx,
   DQS_RETURN_IF_ERROR(Open(ctx));
   if (max_tuples <= 0) return static_cast<int64_t>(0);
 
-  // The context's buffers grow once to the batch size and are then reused
-  // as-is; the input buffer doubles as the pipeline's first work buffer,
-  // so no batch is ever copied before the first operator sees it.
+  // Live batches are spans of the wrapper's relation; temp reads copy into
+  // the context's input buffer, which grows once to the batch size. Either
+  // way the first operator reads the batch where the pop left it.
   KernelScratch& scratch = ctx.scratch;
   if (scratch.in.size() < static_cast<size_t>(max_tuples)) {
     scratch.in.resize(static_cast<size_t>(max_tuples));
@@ -92,8 +93,9 @@ Result<int64_t> FragmentRuntime::ProcessBatchScalar(
   instr += pop.count * ctx.cost->instr_move_tuple;
 
   // Operators consume a (data, count) span and emit into the spare work
-  // buffer; the spans alternate between the context's in/work_a/work_b.
-  const storage::Tuple* cur = ctx.scratch.in.data();
+  // buffer: the popped batch first, then the context's work_a/work_b in
+  // turn.
+  const storage::Tuple* cur = pop.data;
   size_t cur_n = static_cast<size_t>(pop.count);
   std::vector<storage::Tuple>* out = &ctx.scratch.work_a;
   std::vector<storage::Tuple>* spare = &ctx.scratch.work_b;
@@ -202,11 +204,12 @@ Result<int64_t> FragmentRuntime::ProcessBatchScalar(
 namespace {
 
 /// Grow-only sizing for a scratch tuple buffer: `resize` value-initializes
-/// only the new tail, and only when the high-water mark rises; the logical
+/// only the new tail, and only when the high-water mark rises; the size at
+/// least doubles, so a rising mark reallocates O(log n) times. The logical
 /// count is tracked by the caller, so no per-batch zero-fill happens.
 void GrowTuples(std::vector<storage::Tuple>* buf, int64_t n) {
   if (static_cast<int64_t>(buf->size()) < n) {
-    buf->resize(static_cast<size_t>(n));
+    buf->resize(std::max(static_cast<size_t>(n), 2 * buf->size()));
   }
 }
 
@@ -249,7 +252,7 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
 
   KernelScratch& scratch = ctx.scratch;
   TupleIdList& sel = scratch.sel;
-  const storage::Tuple* cur = scratch.in.data();
+  const storage::Tuple* cur = pop.data;
   int64_t cur_n = pop.count;
   sel.Resize(static_cast<uint32_t>(pop.count));
   sel.AddAll();

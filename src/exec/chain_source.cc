@@ -4,10 +4,12 @@
 
 namespace dqsched::exec {
 
-ChainSource::PopResult QueueSource::Pop(ExecContext& ctx, storage::Tuple* out,
+ChainSource::PopResult QueueSource::Pop(ExecContext& ctx, storage::Tuple*,
                                         int64_t max) {
+  const comm::TupleSpan span = ctx.comm.PopSpan(source_, ctx.clock.now(), max);
   PopResult r;
-  r.count = ctx.comm.Pop(source_, ctx.clock.now(), out, max);
+  r.data = span.data;
+  r.count = span.count;
   r.from_temp = false;
   r.ready = ctx.clock.now();
   return r;
@@ -64,6 +66,7 @@ void TempSource::Advance(ExecContext& ctx) {
 ChainSource::PopResult TempSource::Pop(ExecContext& ctx, storage::Tuple* out,
                                        int64_t max) {
   PopResult r;
+  r.data = out;
   r.from_temp = true;
   r.ready = ctx.clock.now();
   if (!async_io_) {

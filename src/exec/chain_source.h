@@ -28,6 +28,9 @@ class ChainSource {
 
   /// Result of one Pop call.
   struct PopResult {
+    /// The batch, read in place: a span of the source relation for live
+    /// input, the caller's `out` buffer for temp reads.
+    const storage::Tuple* data = nullptr;
     int64_t count = 0;
     /// True when the batch came from a materialized temp: no network
     /// receive cost, and pre-applied leading operators must be skipped.
@@ -37,7 +40,8 @@ class ChainSource {
     SimTime ready = 0;
   };
 
-  /// Pops up to `max` tuples into `out`.
+  /// Pops up to `max` tuples. `out` (room for `max`) is scratch a source
+  /// may copy the batch into; PopResult::data says where it is.
   virtual PopResult Pop(ExecContext& ctx, storage::Tuple* out,
                         int64_t max) = 0;
 
@@ -69,7 +73,8 @@ class ChainSource {
   }
 };
 
-/// Live input from a wrapper's queue via the communication manager.
+/// Live input from a wrapper's queue via the communication manager: pops
+/// are spans of the wrapper's relation, never copied.
 class QueueSource final : public ChainSource {
  public:
   explicit QueueSource(SourceId source) : source_(source) {}

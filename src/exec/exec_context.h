@@ -57,7 +57,7 @@ class ResultCollector {
 /// once per context instead of once per fragment. The kernels track
 /// logical counts; the buffers carry stale tails between batches.
 struct KernelScratch {
-  std::vector<storage::Tuple> in;      // the popped batch
+  std::vector<storage::Tuple> in;      // a temp read (live pops are spans)
   std::vector<storage::Tuple> work_a;  // operator outputs, alternating
   std::vector<storage::Tuple> work_b;
   TupleIdList sel;

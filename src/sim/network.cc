@@ -14,6 +14,9 @@ SimDuration NetworkModel::ChargeReceive(SourceId source, int64_t n) {
   int64_t& carry = carry_[static_cast<size_t>(source)];
   carry += n;
   const int64_t per = cost_->tuples_per_message;
+  // The common case, small batches before a message completes, charges
+  // nothing: skip the divisions (InstrTime(0) is 0).
+  if (carry < per) return 0;
   const int64_t messages = carry / per;
   carry %= per;
   stats_.messages_received += messages;

@@ -9,9 +9,11 @@ Relation GenerateRelation(const RelationSpec& spec, SourceId source, Rng rng) {
                 spec.name.c_str());
   Relation rel;
   rel.name = spec.name;
-  rel.tuples.resize(static_cast<size_t>(spec.cardinality));
+  // Append fully formed tuples into reserved space: the array is written
+  // once, never zero-filled first.
+  rel.tuples.reserve(static_cast<size_t>(spec.cardinality));
   for (int64_t i = 0; i < spec.cardinality; ++i) {
-    Tuple& t = rel.tuples[static_cast<size_t>(i)];
+    Tuple t;
     for (int f = 0; f < kTupleKeyFields; ++f) {
       const int64_t domain = spec.key_domain[static_cast<size_t>(f)];
       t.keys[f] = domain > 1
@@ -20,6 +22,7 @@ Relation GenerateRelation(const RelationSpec& spec, SourceId source, Rng rng) {
                       : 0;
     }
     t.rowid = MakeRowid(source, i);
+    rel.tuples.push_back(t);
   }
   return rel;
 }

@@ -96,10 +96,10 @@ void SimWrapper::PumpInto(comm::TupleQueue& queue, SimTime now,
     }
     // Collect the longest run of tuples ready <= now that fits in the
     // queue, drawing each delay exactly as per-tuple delivery would, then
-    // move the run as one contiguous span (the relation's tuple array is
-    // the source) with a single observer notification. A fault that kills
-    // the source or rewinds its cursor (from-scratch replay) breaks the
-    // run: the contiguity condition below ends it.
+    // deliver the run as one push with a single observer notification.
+    // The tuples stay in the relation; the consumer reads them there. A
+    // fault that kills the source or rewinds its cursor (from-scratch
+    // replay) breaks the run: the contiguity condition below ends it.
     int64_t space = queue.SpaceLeft();
     if (space > max_run_) space = max_run_;
     const int64_t start = next_index_;
@@ -116,7 +116,7 @@ void SimWrapper::PumpInto(comm::TupleQueue& queue, SimTime now,
                  start + static_cast<int64_t>(ts_scratch_.size()) &&
              static_cast<int64_t>(ts_scratch_.size()) < space);
     const int64_t run = static_cast<int64_t>(ts_scratch_.size());
-    queue.PushBatch(&relation_->tuples[static_cast<size_t>(start)], run);
+    queue.Push(run);
     if (observer != nullptr) {
       const SimTime* ts = ts_scratch_.data();
       int64_t n = run;

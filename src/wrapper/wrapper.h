@@ -63,6 +63,8 @@ class SimWrapper {
 
   SourceId id() const { return id_; }
   int64_t cardinality() const { return relation_->cardinality(); }
+  /// The delivered tuples: the consumer reads them here, not from a copy.
+  const storage::Relation& relation() const { return *relation_; }
   /// Tuples not yet pushed into the queue.
   int64_t remaining() const { return cardinality() - next_index_; }
   bool Exhausted() const { return next_index_ >= cardinality(); }
@@ -75,12 +77,13 @@ class SimWrapper {
   /// queue to resume production from the drain time. Closes the queue's
   /// producer side after the last tuple. `observer` (may be null) sees each
   /// tuple's arrival timestamp. Ready tuples are delivered as contiguous
-  /// runs (one PushBatch + one OnArrivals per run).
+  /// runs (one Push + one OnArrivals per run). Fresh tuples are delivered
+  /// in relation-index order; replayed duplicates fill the replay windows.
   void PumpInto(comm::TupleQueue& queue, SimTime now,
                 ArrivalObserver* observer = nullptr);
 
   /// Caps delivery runs at one tuple, forcing the pre-bulk per-tuple
-  /// transport path. Observable state (queue contents, stats, observer
+  /// transport path. Observable state (queue occupancy, stats, observer
   /// sample sequence, rng stream) must be identical either way; the
   /// serial-vs-bulk determinism test relies on this switch.
   void set_serial_delivery(bool serial) {

@@ -67,6 +67,8 @@ TEST_F(ChainSourceTest, QueueSourceFollowsArrivals) {
   const auto pop = src.Pop(ctx_, out, 16);
   EXPECT_EQ(pop.count, 3);
   EXPECT_FALSE(pop.from_temp);
+  // Live batches are read in place from the wrapper's relation.
+  EXPECT_EQ(pop.data, relations_[0]->tuples.data());
   EXPECT_EQ(src.remote_source(), 0);
 }
 
@@ -152,14 +154,16 @@ TEST_F(ChainSourceTest, ConcatReadsTempThenQueue) {
                    std::make_unique<QueueSource>(0));
   ctx_.clock.StallUntil(Microseconds(100));  // queue holds 4 live tuples
   storage::Tuple out[512];
-  // First batches come from the temp, flagged from_temp.
+  // First batches come from the temp, flagged from_temp and copied out.
   auto pop = src.Pop(ctx_, out, 512);
   EXPECT_EQ(pop.count, 300);
   EXPECT_TRUE(pop.from_temp);
-  // Then the live remainder.
+  EXPECT_EQ(pop.data, out);
+  // Then the live remainder, a span of the relation.
   pop = src.Pop(ctx_, out, 512);
   EXPECT_EQ(pop.count, 4);
   EXPECT_FALSE(pop.from_temp);
+  EXPECT_EQ(pop.data, relations_[0]->tuples.data());
   EXPECT_TRUE(src.Exhausted(ctx_));
 }
 

@@ -74,26 +74,26 @@ TEST_F(DqsDqpTest, DegradationWaitsForWarmEstimatesThenFires) {
   Dqo dqo;
   // Plan 1: no observations yet -> no irreversible degradations; only the
   // C-schedulable chains (p_A, p_E) are scheduled.
-  Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-  ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+  SchedulingPlan sp;
+  const Status planned = dqs.ComputePlan(*state_, *ctx_, dqo, &sp);
+  ASSERT_TRUE(planned.ok()) << planned.ToString();
   EXPECT_EQ(state_->degradations(), 0);
-  EXPECT_EQ(sp->fragments.size(), 2u);
+  EXPECT_EQ(sp.fragments.size(), 2u);
 
   // Execution: the estimators warm within microseconds, each raising a
   // RateChange; within a handful of replans the four blocked critical
   // chains (p_B, p_F, p_D, p_C) all degrade into MFs.
   for (int round = 0; round < 8 && state_->degradations() < 4; ++round) {
-    Result<Event> evt = dqp.RunPhase(*state_, sp.value(), *ctx_);
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok());
     if (evt->kind == EventKind::kEndOfQf) {
       state_->OnFragmentFinished(evt->fragment, *ctx_);
     }
-    sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-    ASSERT_TRUE(sp.ok());
+    ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
   }
   EXPECT_EQ(state_->degradations(), 4);
   // p_A (+ p_E unless it already finished) plus the four MFs.
-  EXPECT_GE(sp->fragments.size(), 5u);
+  EXPECT_GE(sp.fragments.size(), 5u);
   // Decisions landed long before any relation finished retrieval.
   EXPECT_LT(ctx_->clock.now(), Milliseconds(100));
 }
@@ -104,23 +104,23 @@ TEST_F(DqsDqpTest, HighBmtSuppressesDegradation) {
   config.bmt = 1000.0;  // materialization never profitable
   Dqs dqs(config);
   Dqo dqo;
-  Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-  ASSERT_TRUE(sp.ok());
+  SchedulingPlan sp;
+  ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
   EXPECT_EQ(state_->degradations(), 0);
-  EXPECT_EQ(sp->fragments.size(), 2u);  // only p_A and p_E
+  EXPECT_EQ(sp.fragments.size(), 2u);  // only p_A and p_E
 }
 
 TEST_F(DqsDqpTest, PrioritiesDescend) {
   Init(plan::PaperFigure5Query(0.02));
   Dqs dqs(DqsConfig{});
   Dqo dqo;
-  Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-  ASSERT_TRUE(sp.ok());
-  for (size_t i = 1; i < sp->critical_ns.size(); ++i) {
-    EXPECT_GE(sp->critical_ns[i - 1], sp->critical_ns[i]);
+  SchedulingPlan sp;
+  ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
+  for (size_t i = 1; i < sp.critical_ns.size(); ++i) {
+    EXPECT_GE(sp.critical_ns[i - 1], sp.critical_ns[i]);
   }
   // The gating chain p_A tops the plan (subtree criticality).
-  EXPECT_EQ(sp->fragments.front(), state_->ChainFragment(ChainOf("A")));
+  EXPECT_EQ(sp.fragments.front(), state_->ChainFragment(ChainOf("A")));
 }
 
 TEST_F(DqsDqpTest, SlowedSourceRisesInPriorityAfterRateChange) {
@@ -133,9 +133,9 @@ TEST_F(DqsDqpTest, SlowedSourceRisesInPriorityAfterRateChange) {
   Dqo dqo;
   // Run a few plan/execute cycles so the estimator observes E's slowness.
   for (int i = 0; i < 8; ++i) {
-    Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-    ASSERT_TRUE(sp.ok());
-    Result<Event> evt = dqp.RunPhase(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok());
     if (evt->kind == EventKind::kEndOfQf) {
       state_->OnFragmentFinished(evt->fragment, *ctx_);
@@ -153,9 +153,9 @@ TEST_F(DqsDqpTest, DqpReturnsEndOfQfAndChainsComplete) {
   Dqo dqo;
   int guard = 0;
   while (!state_->QueryDone() && ++guard < 10000) {
-    Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-    ASSERT_TRUE(sp.ok());
-    Result<Event> evt = dqp.RunPhase(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok());
     if (evt->kind == EventKind::kEndOfQf) {
       state_->OnFragmentFinished(evt->fragment, *ctx_);
@@ -180,9 +180,9 @@ TEST_F(DqsDqpTest, TimeoutEventFiresOnLongStall) {
   bool timed_out = false;
   int guard = 0;
   while (!state_->QueryDone() && ++guard < 10000) {
-    Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-    ASSERT_TRUE(sp.ok());
-    Result<Event> evt = dqp.RunPhase(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok());
     if (evt->kind == EventKind::kTimeout) {
       timed_out = true;
@@ -207,9 +207,9 @@ TEST_F(DqsDqpTest, BatchSizeOneStillCompletes) {
   Dqo dqo;
   int guard = 0;
   while (!state_->QueryDone() && ++guard < 100000) {
-    Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-    ASSERT_TRUE(sp.ok());
-    Result<Event> evt = dqp.RunPhase(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok());
     if (evt->kind == EventKind::kEndOfQf) {
       state_->OnFragmentFinished(evt->fragment, *ctx_);
@@ -228,9 +228,10 @@ TEST_F(DqsDqpTest, MemoryOverflowRecoversViaDqoSplit) {
   Dqo dqo;
   int guard = 0;
   while (!state_->QueryDone() && ++guard < 100000) {
-    Result<SchedulingPlan> sp = dqs.ComputePlan(*state_, *ctx_, dqo);
-    ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-    Result<Event> evt = dqp.RunPhase(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    const Status planned = dqs.ComputePlan(*state_, *ctx_, dqo, &sp);
+    ASSERT_TRUE(planned.ok()) << planned.ToString();
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok()) << evt.status().ToString();
     switch (evt->kind) {
       case EventKind::kEndOfQf:

@@ -52,14 +52,15 @@ class InvariantAuditorTest : public Test {
 
   /// One plan/execute/finish round; returns the plan for inspection.
   SchedulingPlan Round() {
-    Result<SchedulingPlan> sp = dqs_.ComputePlan(*state_, *ctx_, dqo_);
-    EXPECT_TRUE(sp.ok()) << sp.status().ToString();
-    Result<Event> evt = dqp_.RunPhase(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    const Status planned = dqs_.ComputePlan(*state_, *ctx_, dqo_, &sp);
+    EXPECT_TRUE(planned.ok()) << planned.ToString();
+    Result<Event> evt = dqp_.RunPhase(*state_, sp, *ctx_);
     EXPECT_TRUE(evt.ok()) << evt.status().ToString();
     if (evt->kind == EventKind::kEndOfQf) {
       state_->OnFragmentFinished(evt->fragment, *ctx_);
     }
-    return *std::move(sp);
+    return sp;
   }
 
   sim::CostModel cost_;
@@ -93,11 +94,12 @@ TEST_F(InvariantAuditorTest, FreshAndRunningStatePasses) {
   while (!state_->QueryDone() && ++guard < 100000) {
     // Audit the plan while it is fresh — execution below may legitimately
     // finish (deactivate) fragments it scheduled.
-    Result<SchedulingPlan> sp = dqs_.ComputePlan(*state_, *ctx_, dqo_);
-    ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-    Status st = AuditAll(*state_, *sp, *ctx_);
+    SchedulingPlan sp;
+    const Status planned = dqs_.ComputePlan(*state_, *ctx_, dqo_, &sp);
+    ASSERT_TRUE(planned.ok()) << planned.ToString();
+    Status st = AuditAll(*state_, sp, *ctx_);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    Result<Event> evt = dqp_.RunPhase(*state_, *sp, *ctx_);
+    Result<Event> evt = dqp_.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok()) << evt.status().ToString();
     if (evt->kind == EventKind::kEndOfQf) {
       state_->OnFragmentFinished(evt->fragment, *ctx_);
@@ -224,9 +226,7 @@ TEST_F(InvariantAuditorTest, RejectsTupleTheftAfterDegradation) {
 
   // Pop one tuple behind the engine's back: it is gone from the queue but
   // no fragment consumed it.
-  storage::Tuple stolen;
-  const_cast<comm::TupleQueue&>(ctx_->comm.queue(victim))
-      .PopBatch(&stolen, 1);
+  const_cast<comm::TupleQueue&>(ctx_->comm.queue(victim)).Pop(1);
   ExpectRejected(AuditExecutionState(*state_, *ctx_),
                  "tuple conservation violated for source " +
                      std::to_string(victim));

@@ -64,14 +64,16 @@ class PlanCacheTest : public ::testing::Test {
     int phase = 0;
     while (!state_->QueryDone()) {
       ASSERT_LT(++phase, 100000) << "livelock";
-      Result<SchedulingPlan> warm_sp = warm.ComputePlan(*state_, *ctx_, dqo);
-      ASSERT_TRUE(warm_sp.ok()) << warm_sp.status().ToString();
+      SchedulingPlan warm_sp;
+      const Status warm_st = warm.ComputePlan(*state_, *ctx_, dqo, &warm_sp);
+      ASSERT_TRUE(warm_st.ok()) << warm_st.ToString();
       Dqs cold{DqsConfig{}};
-      Result<SchedulingPlan> cold_sp = cold.ComputePlan(*state_, *ctx_, dqo);
-      ASSERT_TRUE(cold_sp.ok()) << cold_sp.status().ToString();
-      ExpectPlansIdentical(*warm_sp, *cold_sp, phase);
+      SchedulingPlan cold_sp;
+      const Status cold_st = cold.ComputePlan(*state_, *ctx_, dqo, &cold_sp);
+      ASSERT_TRUE(cold_st.ok()) << cold_st.ToString();
+      ExpectPlansIdentical(warm_sp, cold_sp, phase);
 
-      Result<Event> evt = dqp.RunPhase(*state_, *warm_sp, *ctx_);
+      Result<Event> evt = dqp.RunPhase(*state_, warm_sp, *ctx_);
       ASSERT_TRUE(evt.ok()) << evt.status().ToString();
       switch (evt->kind) {
         case EventKind::kEndOfQf:
@@ -136,13 +138,13 @@ TEST_F(PlanCacheTest, RateDriftReplanIsServedIncrementally) {
   Dqp dqp{DqpConfig{}};
   Dqo dqo;
   // Phase 1 (cold by definition), then run until the first RateChange.
-  Result<SchedulingPlan> sp = warm.ComputePlan(*state_, *ctx_, dqo);
-  ASSERT_TRUE(sp.ok());
+  SchedulingPlan sp;
+  ASSERT_TRUE(warm.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
   EXPECT_EQ(warm.full_replans(), 1);
   int guard = 0;
   for (;;) {
     ASSERT_LT(++guard, 100000);
-    Result<Event> evt = dqp.RunPhase(*state_, *sp, *ctx_);
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
     ASSERT_TRUE(evt.ok());
     if (evt->kind == EventKind::kRateChange) break;
     ASSERT_NE(evt->kind, EventKind::kEndOfQf)
@@ -152,8 +154,7 @@ TEST_F(PlanCacheTest, RateDriftReplanIsServedIncrementally) {
   // estimator warm-up typically degrades chains in the same call, which
   // bumps the structural version *inside* the phase — after the cache
   // check — so the phase itself still counts as incremental.)
-  sp = warm.ComputePlan(*state_, *ctx_, dqo);
-  ASSERT_TRUE(sp.ok());
+  ASSERT_TRUE(warm.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
   EXPECT_EQ(warm.incremental_replans(), 1);
 }
 

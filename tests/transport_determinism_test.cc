@@ -1,6 +1,7 @@
-// Serial-vs-bulk transport determinism: the ring-buffer bulk data plane
-// (span PushBatch/PopBatch, batched OnArrivals, event-indexed pumping)
-// must be observationally identical to per-tuple delivery. Every strategy
+// Serial-vs-bulk transport determinism: the bulk data plane (run pushes,
+// span pops read in place from the relation, batched OnArrivals,
+// event-indexed pumping) must be observationally identical to per-tuple
+// delivery. Every strategy
 // runs the paper's fig6/fig7 setups (one slowed medium relation A, one
 // slowed small relation F) both ways; the full ExecutionMetrics and the
 // result checksum must coincide field by field.

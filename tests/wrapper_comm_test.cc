@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "comm/comm_manager.h"
 #include "comm/rate_estimator.h"
 #include "comm/tuple_queue.h"
 #include "storage/relation.h"
+#include "wrapper/fault_model.h"
 #include "wrapper/wrapper.h"
 
 namespace dqsched {
@@ -50,129 +52,72 @@ struct Capture : wrapper::ArrivalObserver {
   void OnArrivalSuppressed(SimTime t) override { suppressed.push_back(t); }
 };
 
-TEST(TupleQueue, PushPopFifo) {
-  TupleQueue q(10);
-  Tuple t;
-  for (uint64_t i = 0; i < 5; ++i) {
-    t.rowid = i;
-    q.Push(t);
-  }
-  Tuple out[5];
-  EXPECT_EQ(q.PopBatch(out, 5), 5);
-  for (uint64_t i = 0; i < 5; ++i) EXPECT_EQ(out[i].rowid, i);
-  EXPECT_TRUE(q.Empty());
-}
-
 TEST(TupleQueue, CapacityAndFull) {
   TupleQueue q(3);
-  Tuple t;
-  q.Push(t);
-  q.Push(t);
+  q.Push(2);
   EXPECT_FALSE(q.Full());
-  q.Push(t);
+  q.Push(1);
   EXPECT_TRUE(q.Full());
 }
 
 TEST(TupleQueue, PopBatchBounded) {
   TupleQueue q(10);
-  Tuple t;
-  q.Push(t);
-  q.Push(t);
-  Tuple out[8];
-  EXPECT_EQ(q.PopBatch(out, 8), 2);
+  q.Push(2);
+  EXPECT_EQ(q.Pop(8), 2);
+  EXPECT_EQ(q.Pop(8), 0);
+  EXPECT_TRUE(q.Empty());
 }
 
 TEST(TupleQueue, ExhaustionSemantics) {
   TupleQueue q(4);
-  Tuple t;
-  q.Push(t);
+  q.Push(1);
   EXPECT_FALSE(q.Exhausted());
   q.CloseProducer();
   EXPECT_FALSE(q.Exhausted());  // data still buffered
-  Tuple out[4];
-  q.PopBatch(out, 4);
+  q.Pop(4);
   EXPECT_TRUE(q.Exhausted());
+
+  // Closed while full: buffered tuples drain to exhaustion.
+  TupleQueue full(4);
+  full.Push(3);
+  full.Pop(3);
+  full.Push(4);
+  full.CloseProducer();
+  EXPECT_TRUE(full.Full());
+  EXPECT_FALSE(full.Exhausted());
+  ASSERT_EQ(full.Pop(4), 4);
+  EXPECT_TRUE(full.Exhausted());
+  EXPECT_EQ(full.total_pushed(), 7);
+  EXPECT_EQ(full.total_popped(), 7);
 }
 
 TEST(TupleQueue, CountsPushedAndPopped) {
   TupleQueue q(10);
-  Tuple t;
-  q.Push(t);
-  q.Push(t);
-  Tuple out[1];
-  q.PopBatch(out, 1);
+  q.Push(2);
+  q.Pop(1);
   EXPECT_EQ(q.total_pushed(), 2);
   EXPECT_EQ(q.total_popped(), 1);
-}
 
-TEST(TupleQueue, WraparoundPreservesFifoOrder) {
-  TupleQueue q(8);
-  Tuple t;
-  Tuple out[8];
-  uint64_t next = 0;
-  uint64_t expect = 0;
+  // Conservation holds at every position, past any multiple of capacity.
+  TupleQueue r(8);
   for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 5; ++i) {
-      t.rowid = next++;
-      q.Push(t);
-    }
-    ASSERT_EQ(q.PopBatch(out, 5), 5);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i].rowid, expect++);
-    // Conservation holds at every ring position.
-    EXPECT_EQ(q.total_pushed(), q.total_popped() + q.size());
+    r.Push(5);
+    ASSERT_EQ(r.Pop(5), 5);
+    EXPECT_EQ(r.total_pushed(), r.total_popped() + r.size());
   }
-  EXPECT_EQ(q.total_pushed(), 50);
-  EXPECT_EQ(q.total_popped(), 50);
-}
-
-TEST(TupleQueue, PushBatchAndPopBatchSpanTheSeam) {
-  TupleQueue q(8);
-  Tuple buf[8];
-  Tuple out[8];
-  // Advance the ring position to 5 so a 6-tuple batch wraps the seam.
-  Tuple t;
-  for (int i = 0; i < 5; ++i) q.Push(t);
-  ASSERT_EQ(q.PopBatch(out, 5), 5);
-  for (uint64_t i = 0; i < 6; ++i) buf[i].rowid = i;
-  q.PushBatch(buf, 6);  // occupies slots 5,6,7 then wraps to 0,1,2
-  EXPECT_EQ(q.size(), 6);
-  ASSERT_EQ(q.PopBatch(out, 6), 6);
-  for (uint64_t i = 0; i < 6; ++i) EXPECT_EQ(out[i].rowid, i);
+  EXPECT_EQ(r.total_pushed(), 50);
+  EXPECT_EQ(r.total_popped(), 50);
 }
 
 TEST(TupleQueue, NonPowerOfTwoCapacityIsExact) {
-  TupleQueue q(5);  // storage rounds up to 8; occupancy must cap at 5
+  TupleQueue q(5);  // occupancy caps at exactly 5
   EXPECT_EQ(q.capacity(), 5);
-  Tuple t;
-  for (int i = 0; i < 5; ++i) q.Push(t);
+  q.Push(5);
   EXPECT_TRUE(q.Full());
   EXPECT_EQ(q.SpaceLeft(), 0);
-  Tuple out[3];
-  q.PopBatch(out, 3);
+  q.Pop(3);
   EXPECT_EQ(q.SpaceLeft(), 3);
   EXPECT_FALSE(q.Full());
-}
-
-TEST(TupleQueue, CloseWhileWrappedDrainsToExhaustion) {
-  TupleQueue q(4);
-  Tuple t;
-  Tuple out[4];
-  q.Push(t);
-  q.Push(t);
-  q.Push(t);
-  q.PopBatch(out, 3);  // subsequent pushes wrap the 4-slot storage
-  for (uint64_t i = 0; i < 4; ++i) {
-    t.rowid = i;
-    q.Push(t);
-  }
-  q.CloseProducer();
-  EXPECT_TRUE(q.Full());
-  EXPECT_FALSE(q.Exhausted());  // data still buffered across the seam
-  ASSERT_EQ(q.PopBatch(out, 4), 4);
-  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].rowid, i);
-  EXPECT_TRUE(q.Exhausted());
-  EXPECT_EQ(q.total_pushed(), 7);
-  EXPECT_EQ(q.total_popped(), 7);
 }
 
 TEST(SimWrapper, DeliversOnSchedule) {
@@ -210,8 +155,7 @@ TEST(SimWrapper, WindowProtocolSuspendsOnFullQueue) {
 
   // Drain two tuples at t=1000us; the pending tuple enters at the drain
   // time and production resumes at its normal pace from there.
-  Tuple out[2];
-  q.PopBatch(out, 2);
+  q.Pop(2);
   w.PumpInto(q, Microseconds(1000));
   EXPECT_EQ(q.size(), 3);
   EXPECT_EQ(w.NextArrival(), Microseconds(1010));
@@ -225,8 +169,7 @@ TEST(SimWrapper, ResumedProductionContinuesFromDrainTime) {
   w.PumpInto(q, Microseconds(10));  // tuple 0 in queue
   w.PumpInto(q, Microseconds(50));  // tuple 1 ready at 20us but blocked
   EXPECT_EQ(q.size(), 1);
-  Tuple out[1];
-  q.PopBatch(out, 1);
+  q.Pop(1);
   // Resume at t=50: the pending tuple enters now, the next is due 10us on.
   w.PumpInto(q, Microseconds(50));
   EXPECT_EQ(q.size(), 1);
@@ -259,13 +202,13 @@ TEST(SimWrapper, ObserverSeesArrivalTimes) {
 
 TEST(SimWrapper, SerialDeliveryMatchesBulk) {
   // Drive the full window protocol (suspend, resume, suppressed arrival)
-  // with runs capped at one tuple and uncapped; every observable — popped
-  // rowids, observer samples, suppressed arrivals, wrapper stats — must
+  // with runs capped at one tuple and uncapped; every observable — pop
+  // counts, observer samples, suppressed arrivals, wrapper stats — must
   // coincide. Queue of 4 drained 3-at-a-time against a 10 us producer
   // guarantees backpressure.
   const Relation rel = MakeRelation(50);
   struct Observed {
-    std::vector<uint64_t> rowids;
+    std::vector<int64_t> pops;
     std::vector<SimTime> times;
     std::vector<SimTime> suppressed;
     int64_t delivered = 0;
@@ -282,9 +225,7 @@ TEST(SimWrapper, SerialDeliveryMatchesBulk) {
     while (!q.Exhausted()) {
       t += Microseconds(35);
       w.PumpInto(q, t, &cap);
-      Tuple out[3];
-      const int64_t n = q.PopBatch(out, 3);
-      for (int64_t i = 0; i < n; ++i) obs.rowids.push_back(out[i].rowid);
+      obs.pops.push_back(q.Pop(3));
       w.PumpInto(q, t, &cap);  // resume a suspended producer
     }
     obs.times = cap.times;
@@ -296,7 +237,7 @@ TEST(SimWrapper, SerialDeliveryMatchesBulk) {
   };
   const Observed serial = run(true);
   const Observed bulk = run(false);
-  EXPECT_EQ(serial.rowids, bulk.rowids);
+  EXPECT_EQ(serial.pops, bulk.pops);
   EXPECT_EQ(serial.times, bulk.times);
   EXPECT_EQ(serial.suppressed, bulk.suppressed);
   EXPECT_EQ(serial.delivered, bulk.delivered);
@@ -426,6 +367,167 @@ TEST_F(CommManagerTest, RateChangeDetection) {
     manager_.Pop(0, t, out, 16);
   }
   EXPECT_FALSE(manager_.RateChangedSincePlan(t));
+}
+
+// ------------------------------------------------------------ span pops
+//
+// A pop is a span of the source's relation read in place: fresh tuples are
+// delivered in relation-index order and replayed duplicates are discarded
+// by position, so every pop must be relation.tuples[cursor, cursor + n)
+// for the running count `cursor` of fresh tuples popped before it.
+
+/// Pops up to `max` tuples of source 0 at `t` and checks the span against
+/// `rel` at `*cursor`, which it advances. With `copy` the pop goes through
+/// the copying Pop adaptor, whose copy must hold the same tuples.
+int64_t PopCheckingSpan(CommManager& cm, const Relation& rel, SimTime t,
+                        int64_t max, int64_t* cursor, bool copy = false) {
+  if (copy) {
+    std::vector<Tuple> out(static_cast<size_t>(max));
+    const int64_t n = cm.Pop(0, t, out.data(), max);
+    EXPECT_LE(*cursor + n, rel.cardinality());
+    for (int64_t i = 0; i < n && *cursor + i < rel.cardinality(); ++i) {
+      EXPECT_EQ(out[static_cast<size_t>(i)].rowid,
+                rel.tuples[static_cast<size_t>(*cursor + i)].rowid)
+          << "copied pop at cursor " << *cursor << ", offset " << i;
+    }
+    *cursor += n;
+    return n;
+  }
+  const comm::TupleSpan span = cm.PopSpan(0, t, max);
+  EXPECT_LE(span.count, max);
+  EXPECT_LE(*cursor + span.count, rel.cardinality());
+  if (span.count > 0) {
+    EXPECT_EQ(span.data, rel.tuples.data() + *cursor)
+        << "span pop at cursor " << *cursor;
+  }
+  *cursor += span.count;
+  return span.count;
+}
+
+/// Drains source 0 from `cursor` on, popping up to `max` tuples every
+/// `step` after `*t`, every other pop through the copying adaptor; returns
+/// the final cursor.
+int64_t DrainCheckingSpans(CommManager& cm, const Relation& rel, SimTime* t,
+                           SimDuration step, int64_t max, int64_t cursor) {
+  int guard = 0;
+  while (!cm.SourceExhausted(0)) {
+    if (++guard > 100000) {
+      ADD_FAILURE() << "drain did not converge";
+      break;
+    }
+    *t += step;
+    PopCheckingSpan(cm, rel, *t, max, &cursor, /*copy=*/guard % 2 == 0);
+  }
+  return cursor;
+}
+
+TEST(CommManagerSpan, PlainDeliveryPopsRelationSpans) {
+  const Relation rel = MakeRelation(100);
+  CommManager cm{CommConfig{}};
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  SimTime t = 0;
+  EXPECT_EQ(DrainCheckingSpans(cm, rel, &t, Microseconds(35), 7, 0), 100);
+  EXPECT_EQ(cm.queue(0).total_popped(), 100);
+}
+
+TEST(CommManagerSpan, SuspendAndResumeOnASmallQueue) {
+  const Relation rel = MakeRelation(300);
+  CommConfig config;
+  config.queue_capacity = 16;
+  CommManager cm(config);
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  // 100 tuples are ready per millisecond and 5 are popped: the producer
+  // suspends on the full queue and resumes at every drain.
+  SimTime t = 0;
+  EXPECT_EQ(DrainCheckingSpans(cm, rel, &t, Milliseconds(1), 5, 0), 300);
+  EXPECT_GT(cm.wrapper(0).stats().blocked, 0);
+}
+
+TEST(CommManagerSpan, SerialTransportPopsRelationSpans) {
+  const Relation rel = MakeRelation(300);
+  CommConfig config;
+  config.queue_capacity = 16;
+  config.serial_transport = true;
+  CommManager cm(config);
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  SimTime t = 0;
+  EXPECT_EQ(DrainCheckingSpans(cm, rel, &t, Microseconds(70), 5, 0), 300);
+  EXPECT_GT(cm.wrapper(0).stats().blocked, 0);
+}
+
+wrapper::FaultSpec ReplayFromScratchAt(int64_t tuple) {
+  wrapper::FaultSpec s;
+  s.kind = wrapper::FaultKind::kDisconnect;
+  s.at_tuple = tuple;
+  s.replay_from_scratch = true;
+  s.failed_attempts = 0;
+  s.backoff_initial = Milliseconds(1);
+  s.backoff_jitter = 0.0;
+  return s;
+}
+
+TEST(CommManagerSpan, PopStraddlingADiscardedReplayIsOneSpan) {
+  const Relation rel = MakeRelation(50);
+  CommConfig config;
+  config.queue_capacity = 128;
+  config.failure_detection = true;
+  CommManager cm(config);
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  wrapper::FaultSchedule schedule;
+  schedule.events = {ReplayFromScratchAt(20)};
+  w->SetFaultSchedule(schedule, 5);
+  cm.AddSource(std::move(w), /*prior=*/10000.0);
+  // Delivered positions: fresh 0..19, replayed 0..19 at [20, 40), fresh
+  // 20..49 at [40, 70).
+  const SimTime t = Milliseconds(10);
+  cm.PumpAll(t);
+  ASSERT_EQ(cm.queue(0).size(), 70);
+  int64_t cursor = 0;
+  const comm::TupleSpan head = cm.PopSpan(0, t, 15);
+  EXPECT_EQ(head.count, 15);
+  EXPECT_EQ(head.data, rel.tuples.data());
+  cursor += head.count;
+  // Fresh 15..19, the discarded window, fresh 20..34: one span.
+  const comm::TupleSpan straddle = cm.PopSpan(0, t, 20);
+  EXPECT_EQ(straddle.count, 20);
+  EXPECT_EQ(straddle.data, rel.tuples.data() + 15);
+  EXPECT_EQ(cm.ReplayDiscarded(0), 20);
+  cursor += straddle.count;
+  SimTime drain = t;
+  EXPECT_EQ(DrainCheckingSpans(cm, rel, &drain, Microseconds(100), 8, cursor),
+            50);
+  EXPECT_EQ(cm.queue(0).total_popped(), 70);
+}
+
+TEST(CommManagerSpan, AbandonedSourceDrainsItsFreshPrefix) {
+  const Relation rel = MakeRelation(100);
+  CommConfig config;
+  config.queue_capacity = 64;
+  config.failure_detection = true;
+  CommManager cm(config);
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  wrapper::FaultSchedule schedule;
+  wrapper::FaultSpec death;
+  death.kind = wrapper::FaultKind::kDeath;
+  death.at_tuple = 25;
+  schedule.events = {ReplayFromScratchAt(10), death};
+  w->SetFaultSchedule(schedule, 5);
+  cm.AddSource(std::move(w), /*prior=*/10000.0);
+  // Delivered: fresh 0..9, replayed 0..9, fresh 10..24, then death.
+  SimTime t = Milliseconds(10);
+  int64_t cursor = 0;
+  PopCheckingSpan(cm, rel, t, 5, &cursor);
+  ASSERT_EQ(cursor, 5);
+  cm.UpdateFaultState(Seconds(1));
+  ASSERT_TRUE(cm.SourceDead(0));
+  cm.AbandonSource(0);
+  EXPECT_EQ(cm.RemainingTuples(0), 20);
+  EXPECT_EQ(DrainCheckingSpans(cm, rel, &t, Microseconds(100), 7, cursor), 25);
+  EXPECT_EQ(cm.ReplayDiscarded(0), 10);
+  EXPECT_EQ(cm.RemainingTuples(0), 0);
 }
 
 DelayConfig InitialThenFast(double initial_ms, double mean_us) {

@@ -86,7 +86,6 @@ conventions (ported from the old regex linter, same semantics):
   check-on-input   no DQS_CHECK inside Parse*/TryParse*/Validate* bodies
   raw-abort        no abort()/exit() outside common/macros.h
   using-std        no `using namespace std`
-  queue-push       no per-tuple TupleQueue::Push outside src/comm
   kernel-push      no per-tuple push_back/emplace_back/Add in src/exec
                    outside blessed expansion helpers
   timeout-type     duration-named header fields are SimDuration, not
@@ -1123,19 +1122,6 @@ def check_using_std(an, f):
                 and tokens[i + 2].value == "std"):
             an.emit(f, tok.line, "using-std",
                     "`using namespace std` banned")
-
-
-@rule("queue-push", "file")
-def check_queue_push(an, f):
-    if top_dir(f.rel) == "comm":
-        return
-    tokens = f.tokens
-    for i, tok in enumerate(tokens):
-        if (tok.kind == "id" and tok.value == "Push"
-                and is_member_call(tokens, i)):
-            an.emit(f, tok.line, "queue-push",
-                    "per-tuple TupleQueue::Push outside src/comm; deliver "
-                    "a span with PushBatch")
 
 
 @rule("kernel-push", "file")
