@@ -2,8 +2,6 @@
 
 #include <cstring>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/macros.h"
 #include "core/execution_state.h"
@@ -175,12 +173,11 @@ void CacheManager::TrySegmentHits(ExecutionState& state,
       }
     }
     if (!exclusive) continue;
-    const std::vector<storage::Tuple>* segment = cache_.LookupSegment(
+    const storage::TuplePages* segment = cache_.LookupSegment(
         SegmentFingerprint(compiled, c), SegmentVersionHash(src));
     if (segment == nullptr) continue;
-    const TempId temp = ctx.temps.AdoptSealed(
-        "cached_" + compiled.chain(c).name, segment->data(),
-        static_cast<int64_t>(segment->size()));
+    const TempId temp =
+        ctx.temps.AdoptSealed("cached_" + compiled.chain(c).name, *segment);
     state.BindChainToCachedSegment(c, temp, ctx);
     // No live remainder: the cached segment IS the (filtered) stream.
     // Closing zeroes RemainingTuples, so the rebound chain can never
@@ -203,17 +200,14 @@ void CacheManager::AdmitQuery(const ExecutionState& state,
       if (ctx.comm.SourceClosed(src)) continue;
       const TempId temp = state.MfTemp(c);
       if (ctx.temps.IsDropped(temp) || !ctx.temps.IsSealed(temp)) continue;
-      const storage::TuplePages& pages = ctx.temps.Tuples(temp);
-      const int64_t need = storage::ResultCache::SegmentBytes(pages.size());
+      const int64_t need =
+          storage::ResultCache::SegmentBytes(ctx.temps.Cardinality(temp));
       if (!EnsureHeadroom(need)) continue;
-      std::vector<storage::Tuple> segment;
-      segment.reserve(static_cast<size_t>(pages.size()));
-      pages.ForEachSpan([&segment](const storage::Tuple* run, int64_t n) {
-        segment.insert(segment.end(), run, run + n);
-      });
-      const int64_t admitted =
-          cache_.InsertSegment(SegmentFingerprint(compiled, c),
-                               SegmentVersionHash(src), std::move(segment));
+      // The query is finished, so nothing reads the MF temp again: its
+      // pages move into the cache (the temp reads as dropped).
+      const int64_t admitted = cache_.InsertSegment(
+          SegmentFingerprint(compiled, c), SegmentVersionHash(src),
+          ctx.temps.TakeTuples(temp));
       if (admitted > 0 && accountant_ != nullptr) {
         accountant_->GrantReclaimable(admitted);
       }

@@ -116,8 +116,9 @@ class CacheManager {
 
   // --- Admission ----------------------------------------------------------
   /// Harvests a cleanly finished query: every naturally completed MF
-  /// whose source was never closed becomes a cached segment, and — when
-  /// `result_complete` (full, non-partial answer) — the result digest is
+  /// whose source was never closed becomes a cached segment — its temp's
+  /// pages move into the cache and the temp reads as dropped — and, when
+  /// `result_complete` (full, non-partial answer), the result digest is
   /// cached too. Callers must not admit cancelled or partial queries'
   /// results; cancelled states are rejected here as a backstop.
   void AdmitQuery(const ExecutionState& state, exec::ExecContext& ctx,

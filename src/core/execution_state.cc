@@ -435,15 +435,20 @@ void ExecutionState::Cancel(exec::ExecContext& ctx) {
     slot.active = false;
   }
   // Return the temp-store space of everything this query materialized.
-  for (TempId t : owned_temps_) {
-    if (!ctx.temps.IsDropped(t)) ctx.temps.Drop(t);
-  }
+  Retire(ctx);
   if (trace_.enabled()) {
     trace_.Record(ctx.clock.now(), TraceEventKind::kCancelled, kInvalidId,
                   "query cancelled; grants released, temps dropped");
   }
   // The conservation laws must still balance on the cancelled husk.
   DQS_AUDIT(AuditExecutionState(*this, ctx));
+}
+
+void ExecutionState::Retire(exec::ExecContext& ctx) {
+  DQS_CHECK_MSG(cancelled_ || QueryDone(), "retire of a running query");
+  for (TempId t : owned_temps_) {
+    if (!ctx.temps.IsDropped(t)) ctx.temps.Drop(t);
+  }
 }
 
 std::vector<std::string> ExecutionState::FragmentNames() const {

@@ -147,6 +147,13 @@ class ExecutionState {
   /// Idempotent; the query must not be stepped afterwards.
   void Cancel(exec::ExecContext& ctx);
   bool cancelled() const { return cancelled_; }
+  /// Drops every temp this query still owns, returning their pages to the
+  /// pool. Called once the query is done or cancelled, in contexts that
+  /// outlive it (the shared loop); nothing reads a finished query's temps.
+  /// Idempotent.
+  void Retire(exec::ExecContext& ctx);
+  /// Every temp this query created (see owned_temps_).
+  const std::vector<TempId>& owned_temps() const { return owned_temps_; }
 
   /// Estimated CPU per *live* input tuple of the fragment, nanoseconds
   /// (the scheduler's c_p).
@@ -236,8 +243,8 @@ class ExecutionState {
   std::vector<ChainState> chain_states_;
   std::vector<TempId> ma_temps_;  // per source, MA phase 1
   /// Every temp this query created (MF prefixes, DQO split links, MA
-  /// materializations, not operand spills — those belong to the operand),
-  /// so cancellation can return their space.
+  /// materializations, adopted cache segments; not operand spills — those
+  /// belong to the operand), so Retire and Cancel can return their space.
   std::vector<TempId> owned_temps_;
   ExecutionTrace trace_;
   bool cancelled_ = false;

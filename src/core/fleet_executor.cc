@@ -584,6 +584,8 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
             cache->AdmitQuery(sr.loop->state(slot), ctx,
                               oc.status == QueryStatus::kOk);
           }
+          // The shard outlives the query: free the temps admission left.
+          sr.loop->RetireQuery(slot);
           ls.terminal = true;
           MemoryBroker::Release rel;
           rel.uid = uid;

@@ -190,6 +190,9 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
         cache->AdmitQuery(loop.state(turn->query), ctx,
                           /*result_complete=*/true);
       }
+      // The shared context outlives the query: free the temps admission
+      // left.
+      loop.RetireQuery(turn->query);
       continue;
     }
     if (turn->kind != SharedQueryLoop::Turn::Kind::kAllStarved) continue;

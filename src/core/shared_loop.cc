@@ -292,6 +292,12 @@ void SharedQueryLoop::CancelQuery(int query) {
   // The ring unlink happens lazily at the top of the next Step.
 }
 
+void SharedQueryLoop::RetireQuery(int query) {
+  QueryRun& run = *runs_[static_cast<size_t>(query)];
+  DQS_CHECK_MSG(run.done, "retire of running query %d", query);
+  run.state->Retire(*ctx_);
+}
+
 ExecutionMetrics SharedQueryLoop::QueryMetrics(int query) const {
   const QueryRun& run = *runs_[static_cast<size_t>(query)];
   ExecutionMetrics m;

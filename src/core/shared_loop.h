@@ -129,6 +129,11 @@ class SharedQueryLoop {
   /// from the rotation. The slot reads as done (done_at = now) with
   /// cancelled() true; its metrics stay readable.
   void CancelQuery(int query);
+  /// Frees a finished query's storage: drops every temp it still owns
+  /// (ExecutionState::Retire). Drivers call it on kQueryDone after cache
+  /// admission has taken the complete MF prefixes it wants; the slot's
+  /// metrics stay readable.
+  void RetireQuery(int query);
   bool cancelled(int query) const {
     return runs_[static_cast<size_t>(query)]->state->cancelled();
   }

@@ -33,8 +33,8 @@ void ResultCache::Touch(uint64_t fingerprint, Entry& entry) {
   recency_.emplace(entry.last_used, fingerprint);
 }
 
-const std::vector<Tuple>* ResultCache::LookupSegment(uint64_t fingerprint,
-                                                     uint64_t version_hash) {
+const TuplePages* ResultCache::LookupSegment(uint64_t fingerprint,
+                                             uint64_t version_hash) {
   Entry* entry = Probe(fingerprint, version_hash);
   if (entry == nullptr || !entry->is_segment) {
     ++counters_.segment_misses;
@@ -97,11 +97,11 @@ int64_t ResultCache::Admit(uint64_t fingerprint, Entry entry) {
 
 int64_t ResultCache::InsertSegment(uint64_t fingerprint,
                                    uint64_t version_hash,
-                                   std::vector<Tuple> tuples) {
+                                   TuplePages tuples) {
   Entry entry;
   entry.is_segment = true;
   entry.version_hash = version_hash;
-  entry.bytes = SegmentBytes(static_cast<int64_t>(tuples.size()));
+  entry.bytes = SegmentBytes(tuples.size());
   entry.tuples = std::move(tuples);
   const int64_t admitted = Admit(fingerprint, std::move(entry));
   if (admitted > 0) ++counters_.admitted_segments;

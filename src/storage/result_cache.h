@@ -2,8 +2,9 @@
 // mediator's cross-query cache (DESIGN.md §14).
 //
 // The cache maps a 64-bit plan-fragment fingerprint to either a
-// materialized tuple segment (a completed MF(p): the source stream with
-// the chain's leading filters pre-applied) or a final result digest
+// materialized tuple segment (the pooled pages of a completed MF(p): the
+// source stream with the chain's leading filters pre-applied; evicting it
+// returns the pages to the pool) or a final result digest
 // (count + order-independent checksum). Entries carry the version hash of
 // the logical sources they were computed from; a lookup whose current
 // version hash differs is a miss and lazily evicts the stale entry —
@@ -28,9 +29,9 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
-#include <vector>
 
 #include "storage/tuple.h"
+#include "storage/tuple_pages.h"
 
 namespace dqsched::storage {
 
@@ -89,8 +90,8 @@ class ResultCache {
   /// Serves the cached segment for `fingerprint` if it is visible in the
   /// current epoch and its version hash matches; nullptr otherwise. A
   /// version mismatch lazily evicts the entry.
-  const std::vector<Tuple>* LookupSegment(uint64_t fingerprint,
-                                          uint64_t version_hash);
+  const TuplePages* LookupSegment(uint64_t fingerprint,
+                                  uint64_t version_hash);
 
   /// Serves the cached result digest; same visibility and version rules.
   bool LookupResult(uint64_t fingerprint, uint64_t version_hash,
@@ -98,10 +99,10 @@ class ResultCache {
 
   /// Admits a segment (replacing any entry under the same fingerprint),
   /// evicting LRU entries to respect the byte budget. An entry larger
-  /// than the whole budget is rejected. Returns the admitted byte size
-  /// (0 when rejected).
+  /// than the whole budget is rejected and its pages go back to the pool.
+  /// Returns the admitted byte size (0 when rejected).
   int64_t InsertSegment(uint64_t fingerprint, uint64_t version_hash,
-                        std::vector<Tuple> tuples);
+                        TuplePages tuples);
 
   /// Admits a result digest under the same replacement/budget rules.
   int64_t InsertResult(uint64_t fingerprint, uint64_t version_hash,
@@ -140,9 +141,9 @@ class ResultCache {
     uint64_t admitted_epoch = 0;
     int64_t bytes = 0;
     int64_t last_used = 0;  // deterministic recency tick
-    std::vector<Tuple> tuples;  // is_segment
-    int64_t count = 0;          // !is_segment
-    uint64_t checksum = 0;      // !is_segment
+    TuplePages tuples;      // is_segment
+    int64_t count = 0;      // !is_segment
+    uint64_t checksum = 0;  // !is_segment
   };
 
   /// Returns the entry if visible-and-fresh; nullptr otherwise (evicting

@@ -1,6 +1,7 @@
 #include "storage/temp_store.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -67,21 +68,22 @@ void TempStore::Seal(TempId id) {
   rel.sealed = true;
 }
 
-TempId TempStore::AdoptSealed(std::string name, const Tuple* data,
-                              int64_t n) {
+TempId TempStore::AdoptSealed(std::string name, const TuplePages& tuples) {
   const TempId id = Create(std::move(name));
   TempRel& rel = Get(id);
-  rel.tuples.Append(data, n);
-  rel.flushed_tuples = n;  // on disk already: adopted segments were
-                           // flushed when first materialized
+  tuples.ForEachSpan(
+      [&rel](const Tuple* run, int64_t k) { rel.tuples.Append(run, k); });
+  rel.flushed_tuples = tuples.size();  // on disk already: adopted segments
+                                       // were flushed when first materialized
   rel.sealed = true;
   return id;
 }
 
-const TuplePages& TempStore::Tuples(TempId id) const {
-  const TempRel& rel = Get(id);
-  DQS_CHECK_MSG(rel.sealed, "Tuples() of unsealed temp %d", id);
-  return rel.tuples;
+TuplePages TempStore::TakeTuples(TempId id) {
+  TempRel& rel = Get(id);
+  DQS_CHECK_MSG(rel.sealed, "TakeTuples of unsealed temp %d", id);
+  rel.dropped = true;
+  return std::move(rel.tuples);
 }
 
 bool TempStore::IsSealed(TempId id) const { return Get(id).sealed; }

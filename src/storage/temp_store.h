@@ -69,16 +69,17 @@ class TempStore {
   /// only allowed on sealed temps.
   void Seal(TempId id);
 
-  /// Materializes a pre-sealed temp from an already-resident tuple block (a
+  /// Materializes a pre-sealed temp holding a copy of `tuples` (a
   /// result-cache hit). No disk writes are charged: the bytes were written
   /// (and paid for) when the segment was originally materialized; the cache
   /// only restores the mapping. Reads charge normally.
-  TempId AdoptSealed(std::string name, const Tuple* data, int64_t n);
+  TempId AdoptSealed(std::string name, const TuplePages& tuples);
 
-  /// Direct read-only access to a sealed temp's tuples (cache admission
-  /// snapshots a completed MF through this; no simulated charge — admission
-  /// is host-side bookkeeping, like planning_host_seconds).
-  const TuplePages& Tuples(TempId id) const;
+  /// Hands a sealed temp's pages to the caller and marks the temp dropped
+  /// (cache admission moves a completed MF into the cache through this).
+  /// No simulated charge — admission is host-side bookkeeping, like
+  /// planning_host_seconds.
+  TuplePages TakeTuples(TempId id);
 
   bool IsSealed(TempId id) const;
   int64_t Cardinality(TempId id) const;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
+#include "core/shared_loop.h"
+#include "exec/exec_context.h"
 #include "plan/canonical_plans.h"
 #include "plan/query_generator.h"
 
@@ -174,6 +177,78 @@ TEST(MultiQuery, MixedQueryShapes) {
 TEST(MultiQuery, ModeNamesStable) {
   EXPECT_STREQ(MultiModeName(MultiMode::kSerial), "serial");
   EXPECT_STREQ(MultiModeName(MultiMode::kShared), "shared");
+}
+
+TEST(SharedQueryLoop, RetireQueryDropsOnlyTheFinishedQuerysTemps) {
+  // Three Figure-5 queries with A slowed share one context; DSE degrades
+  // the chains A blocks, so each query writes MF temps. Retiring a query
+  // at its completion drops every temp it created and none of a running
+  // query's, and no retirement changes another query's answer.
+  constexpr int kQueries = 3;
+  const MultiQueryConfig config = SmallConfig();
+  std::vector<PreparedQuery> queries;
+  SourceId offset = 0;
+  for (int qi = 0; qi < kQueries; ++qi) {
+    plan::QuerySetup setup = plan::PaperFigure5Query(0.02);
+    setup.catalog.sources[0].delay.mean_us = 200.0;  // slow down A 10x
+    Result<PreparedQuery> q =
+        PrepareQuery(std::move(setup.catalog), setup.plan, config.cost,
+                     SeedPolicy::MixQuery(config.seed, qi, offset));
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    for (plan::ChainInfo& chain : q->compiled.chains) chain.source += offset;
+    offset += q->catalog.num_sources();
+    queries.push_back(std::move(q.value()));
+  }
+
+  exec::ExecContext ctx(&config.cost, config.comm,
+                        config.memory_budget_bytes);
+  SharedQueryLoop loop(&ctx, SharedQueryLoop::Options{});
+  for (int qi = 0; qi < kQueries; ++qi) {
+    const PreparedQuery& q = queries[static_cast<size_t>(qi)];
+    SharedQueryDesc desc;
+    desc.compiled = &q.compiled;
+    desc.source_lo = AddWrappers(
+        ctx, q, SeedPolicy::MixQuery(config.seed, qi, ctx.comm.num_sources()),
+        /*hold=*/false);
+    desc.source_hi = ctx.comm.num_sources();
+    loop.AddQuery(desc);
+  }
+
+  int retired = 0;
+  size_t temps_retired = 0;
+  size_t running_temps_seen = 0;
+  while (loop.active() > 0) {
+    Result<SharedQueryLoop::Turn> turn = loop.Step();
+    ASSERT_TRUE(turn.ok()) << turn.status().ToString();
+    if (turn->kind == SharedQueryLoop::Turn::Kind::kAllStarved) {
+      ASSERT_NE(turn->stall_until, kSimTimeNever);
+      ctx.clock.StallUntil(turn->stall_until);
+      continue;
+    }
+    if (turn->kind != SharedQueryLoop::Turn::Kind::kQueryDone) continue;
+    const int done = turn->query;
+    loop.RetireQuery(done);
+    ++retired;
+    temps_retired += loop.state(done).owned_temps().size();
+    for (int qi = 0; qi < kQueries; ++qi) {
+      for (TempId t : loop.state(qi).owned_temps()) {
+        EXPECT_EQ(ctx.temps.IsDropped(t), loop.done(qi))
+            << "query " << qi << " temp " << t << " after query " << done
+            << " retired";
+        if (!loop.done(qi)) ++running_temps_seen;
+      }
+    }
+    const exec::ResultCollector& result = loop.result(done);
+    const Status answer = queries[static_cast<size_t>(done)].CheckAnswer(
+        result.count(), result.checksum().value(),
+        "query " + std::to_string(done));
+    EXPECT_TRUE(answer.ok()) << answer.ToString();
+  }
+  EXPECT_EQ(retired, kQueries);
+  // The mix degraded: there were MF temps to retire, and some query still
+  // held temps when another one retired.
+  EXPECT_GT(temps_retired, 0u);
+  EXPECT_GT(running_temps_seen, 0u);
 }
 
 }  // namespace

@@ -29,12 +29,14 @@ using storage::MemoryAccountant;
 using storage::ResultCache;
 using storage::Tuple;
 
-std::vector<Tuple> Segment(int64_t n, uint64_t tag) {
+storage::TuplePages Segment(int64_t n, uint64_t tag) {
   std::vector<Tuple> tuples(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     tuples[static_cast<size_t>(i)].rowid = storage::Mix64(tag ^ uint64_t(i));
   }
-  return tuples;
+  storage::TuplePages pages;
+  pages.Append(tuples.data(), n);
+  return pages;
 }
 
 // ---------------------------------------------------------------------------
@@ -55,9 +57,9 @@ TEST(ResultCache, EpochGatingHidesSameRunAdmissions) {
 
   // The next run sees them.
   cache.BeginEpoch();
-  const std::vector<Tuple>* seg = cache.LookupSegment(1, 7);
+  const storage::TuplePages* seg = cache.LookupSegment(1, 7);
   ASSERT_NE(seg, nullptr);
-  EXPECT_EQ(seg->size(), 10u);
+  EXPECT_EQ(seg->size(), 10);
   ASSERT_TRUE(cache.LookupResult(2, 7, &count, &checksum));
   EXPECT_EQ(count, 42);
   EXPECT_EQ(checksum, 0xabcu);

@@ -203,7 +203,9 @@ TEST_F(TempStoreTest, AdoptSealedMultiPageSegment) {
   // crossing every page boundary.
   const int64_t n = 3 * 1024 + 7;
   const auto tuples = MakeTuples(n, 40);
-  const TempId id = store_.AdoptSealed("cached", tuples.data(), n);
+  TuplePages segment;
+  segment.Append(tuples.data(), n);
+  const TempId id = store_.AdoptSealed("cached", segment);
   EXPECT_TRUE(store_.IsSealed(id));
   EXPECT_EQ(store_.Cardinality(id), n);
   EXPECT_EQ(store_.Pages(id), 16);
@@ -223,6 +225,31 @@ TEST_F(TempStoreTest, AdoptSealedMultiPageSegment) {
   EXPECT_EQ(StatsOf(disk_), std::make_tuple(16, 0, 1, 1, 43845328));
   EXPECT_EQ(std::make_tuple(ready, clock_.now()),
             std::make_tuple(43875328, 30000));
+}
+
+TEST_F(TempStoreTest, TakeTuplesHandsOffPagesWithoutCharges) {
+  // Cache admission moves a sealed temp's pages out: the tuples arrive in
+  // order across page boundaries, the temp reads as dropped, and nothing
+  // simulated is charged by the hand-off.
+  const int64_t n = 3 * 1024 + 7;
+  const TempId id = store_.Create("mf");
+  const auto tuples = MakeTuples(n, 9);
+  store_.Append(id, tuples.data(), n, /*async_io=*/true);
+  store_.Seal(id);
+  const auto temp_stats = StatsOf(store_);
+  const auto disk_stats = StatsOf(disk_);
+  const SimTime now = clock_.now();
+
+  const TuplePages pages = store_.TakeTuples(id);
+  ASSERT_EQ(pages.size(), n);
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(pages[static_cast<size_t>(i)].rowid,
+              static_cast<uint64_t>(9 + i));
+  }
+  EXPECT_TRUE(store_.IsDropped(id));
+  EXPECT_EQ(StatsOf(store_), temp_stats);
+  EXPECT_EQ(StatsOf(disk_), disk_stats);
+  EXPECT_EQ(clock_.now(), now);
 }
 
 TEST_F(TempStoreTest, ReadBeyondEndReturnsZero) {
