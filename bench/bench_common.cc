@@ -35,6 +35,14 @@ bool ParseIntArg(const char* text, long long* out) {
   return true;
 }
 
+[[noreturn]] void UsageError(const std::string& error, const char* argv0) {
+  std::fprintf(stderr,
+               "%s\nusage: %s [--scale=F] [--repeats=N] [--seed=N] "
+               "[--jobs=N] [--csv] [--walls]\n",
+               error.c_str(), argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 std::optional<BenchOptions> TryParseOptions(int argc, char** argv,
@@ -92,14 +100,15 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale) {
   std::string error;
   std::optional<BenchOptions> options =
       TryParseOptions(argc, argv, default_scale, &error);
-  if (!options) {
-    std::fprintf(stderr,
-                 "%s\nusage: %s [--scale=F] [--repeats=N] [--seed=N] "
-                 "[--jobs=N] [--csv] [--walls]\n",
-                 error.c_str(), argv[0]);
-    std::exit(2);
-  }
+  if (!options) UsageError(error, argv[0]);
   return *options;
+}
+
+void RequireOneRepeat(const BenchOptions& options, const char* argv0) {
+  if (options.repeats == 1) return;
+  UsageError("--repeats=" + std::to_string(options.repeats) +
+                 " is not supported: each cell runs once",
+             argv0);
 }
 
 core::MediatorConfig DefaultConfig(const BenchOptions& options) {

@@ -49,6 +49,10 @@ std::optional<BenchOptions> TryParseOptions(int argc, char** argv,
 /// Parses argv; unknown flags abort with usage.
 BenchOptions ParseOptions(int argc, char** argv, double default_scale = 1.0);
 
+/// For benches that run each cell once: a usage error (exit 2) unless
+/// `options.repeats` is 1, so a repeat count is never silently ignored.
+void RequireOneRepeat(const BenchOptions& options, const char* argv0);
+
 /// Average response time of one strategy over `repeats` seeds, seconds.
 /// Creation or execution failures surface as an error string.
 struct StrategyOutcome {

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   }
   const auto options = bench::ParseOptions(static_cast<int>(rest.size()),
                                            rest.data(), /*default_scale=*/1.0);
+  bench::RequireOneRepeat(options, argv[0]);
   bench::PrintPreamble(
       "Sharded mediator fleet (open-loop Poisson stream)",
       "Section 6 (multi-query execution: throughput vs response time)",

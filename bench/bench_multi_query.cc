@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   }
   const auto options = bench::ParseOptions(static_cast<int>(rest.size()),
                                            rest.data(), /*default_scale=*/0.1);
+  bench::RequireOneRepeat(options, argv[0]);
   bench::PrintPreamble("Multi-query execution (throughput vs response time)",
                        "Section 6 (future work: multi-query execution)",
                        options);

@@ -163,8 +163,7 @@ class CommManager {
   int64_t rate_change_signals() const { return rate_change_signals_; }
 
   /// The source whose estimate triggered the most recent true verdict of
-  /// RateChangedSincePlan (kInvalidId before any signal). Multi-query
-  /// targeted replanning routes the replan to the queries reading it.
+  /// RateChangedSincePlan (kInvalidId before any signal).
   SourceId LastRateChangeSource() const { return last_signal_source_; }
 
   /// Per-source delivery version: bumped whenever anything the scheduler's

@@ -6,8 +6,9 @@
 // optimizer must, at least, include a module which deals with these memory
 // problems ... modifying the QEP by replacing p by two fragments,
 // inserting a materialize operator at the highest possible point"
-// (Section 4.2) — plus hooks that record timeout escalations (where
-// phase-2 scrambling re-optimization [15] would plug in).
+// (Section 4.2). Timeout escalation (phase-2 re-optimization [15]) is
+// not implemented: the strategies' phase loop counts a kTimeout and plans
+// again.
 
 #ifndef DQSCHED_CORE_DQO_H_
 #define DQSCHED_CORE_DQO_H_
@@ -19,11 +20,9 @@
 
 namespace dqsched::core {
 
-/// Memory-overflow handler + re-optimization hooks.
+/// Memory-overflow handler.
 class Dqo {
  public:
-  Dqo() = default;
-
   /// Revises the execution so `chain` becomes executable: first evicts
   /// resident operands the chain does not probe (they reload later), then,
   /// if the chain still cannot open, splits it into stages materialized
@@ -34,17 +33,10 @@ class Dqo {
   Status HandleMemoryOverflow(ExecutionState& state, exec::ExecContext& ctx,
                               ChainId chain);
 
-  /// Called when the DQP starved past its stall timeout. A production DQO
-  /// would trigger phase-2 re-optimization here; we record and continue
-  /// (waiting is the only sound action without re-optimization).
-  void OnTimeout() { ++timeouts_; }
-
-  int64_t timeouts() const { return timeouts_; }
   /// Operand evictions performed to relieve memory pressure.
   int64_t spills() const { return spills_; }
 
  private:
-  int64_t timeouts_ = 0;
   int64_t spills_ = 0;
 };
 

@@ -57,7 +57,6 @@ class Dqp {
                          exec::ExecContext& ctx);
 
   int64_t execution_phases() const { return execution_phases_; }
-  int64_t batches() const { return batches_; }
 
  private:
   DqpConfig config_;

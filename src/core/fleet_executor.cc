@@ -267,7 +267,6 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     loop_options.strategy = strategy;
     loop_options.config = config_.strategy;
     loop_options.slice_batches = config_.slice_batches;
-    loop_options.targeted_replans = config_.targeted_replans;
     loop_options.surface_lifecycle = lifecycle;
     loop_options.kernels = config_.kernels;
     loop_options.cache = shard_cache;

@@ -68,7 +68,6 @@ struct FleetConfig : EngineConfig {
   int64_t slice_batches = 32;
   /// Loop turns a shard advances per round between broker barriers.
   int64_t sync_turns = 1024;
-  bool targeted_replans = false;
 
   // ---- Query lifecycle (DESIGN.md §13) ----------------------------------
   // The lifecycle manager is armed when deadline_budget > 0 or a storm is

@@ -5,6 +5,8 @@
 // MA can overlap the delays of several input relations, however at a high
 // I/O overhead."
 
+#include <algorithm>
+
 #include "core/strategy_internal.h"
 
 #include "common/macros.h"
@@ -18,79 +20,39 @@ Result<ExecutionMetrics> RunMaImpl(ExecutionState& state,
   StrategyCounters counters;
 
   // Phase 1: one raw materialization fragment per source, serviced
-  // round-robin so every relation is retrieved simultaneously.
+  // round-robin so every relation is retrieved simultaneously. MA needs
+  // every relation fully on disk, so its fault policy is strict.
   DqpConfig phase1_config = config.dqp;
   phase1_config.round_robin = true;
   Dqp phase1(phase1_config);
 
-  SchedulingPlan sp;
+  SchedulingPlan materializations;
   for (SourceId s = 0; s < ctx.comm.num_sources(); ++s) {
-    sp.fragments.push_back(state.CreateMaterializeAll(s, ctx));
-    sp.critical_ns.push_back(0.0);
+    materializations.fragments.push_back(state.CreateMaterializeAll(s, ctx));
+    materializations.critical_ns.push_back(0.0);
   }
-  int64_t guard = 0;
-  for (;;) {
-    DQS_CHECK_MSG(++guard < (1LL << 40), "MA phase-1 livelock");
-    bool any_active = false;
-    for (int f : sp.fragments) any_active |= state.FragmentActive(f);
-    if (!any_active) break;
-
-    Result<Event> evt = phase1.RunPhase(state, sp, ctx);
-    if (!evt.ok()) return evt.status();
-    switch (evt->kind) {
-      case EventKind::kEndOfQf:
-        state.OnFragmentFinished(evt->fragment, ctx);
-        break;
-      case EventKind::kRateChange:
-        ++counters.rate_changes;
-        ctx.comm.MarkPlanned(ctx.clock.now());
-        break;
-      case EventKind::kTimeout:
-        ++counters.timeouts;
-        break;
-      case EventKind::kMemoryOverflow:
-        return Status::Internal("materialization cannot overflow memory");
-      case EventKind::kPlanExhausted:
-        break;  // re-check the active set
-      case EventKind::kSourceDown:
-        // MA needs every relation fully on disk; a dead source is fatal,
-        // a suspected one may still recover.
-        ++counters.source_down_events;
-        if (ctx.comm.SourceDead(evt->source)) {
-          return Status::Unavailable("source " + std::to_string(evt->source) +
-                                     " declared dead during materialization");
-        }
-        break;
-      case EventKind::kSourceRecovered:
-        ++counters.source_recovered_events;
-        break;
-      case EventKind::kDeadlineExceeded:
-        counters.deadline_hit = true;
-        return Status::DeadlineExceeded(
-            "query deadline expired during materialization");
-      case EventKind::kSliceEnd:
-      case EventKind::kStarved:
-        return Status::Internal("multi-query event in MA phase 1");
-    }
-  }
+  const std::vector<int>& mats = materializations.fragments;
+  DQS_RETURN_IF_ERROR(RunPhases(
+      state, ctx, phase1, dqo, FaultPolicy{}, " during materialization",
+      [&](const Event*, SchedulingPlan* sp) {
+        *sp = materializations;
+        return Status::Ok();
+      },
+      [&] {
+        return std::none_of(mats.begin(), mats.end(),
+                            [&](int f) { return state.FragmentActive(f); });
+      },
+      &counters));
 
   // Phase 2: rebind every chain to its local temp, then run the iterator
   // model from disk.
-  Dqp phase2(config.dqp);
-  const auto order = state.compiled().IteratorModelOrder();
-  for (ChainId chain : order) {
+  for (ChainId chain : state.compiled().IteratorModelOrder()) {
     state.RebindChainToTemp(chain,
                             state.MaTempOf(state.compiled().chain(chain).source),
                             ctx);
   }
-  for (ChainId chain : order) {
-    DQS_RETURN_IF_ERROR(
-        DriveChain(chain, state, ctx, phase2, dqo, &counters));
-  }
-  if (!state.QueryDone()) {
-    return Status::Internal("MA finished every chain but the query is not "
-                            "done");
-  }
+  Dqp phase2(config.dqp);
+  DQS_RETURN_IF_ERROR(RunIteratorModel(state, ctx, phase2, dqo, &counters));
   ExecutionMetrics m =
       CollectMetrics(ctx, state, /*dqs=*/nullptr, phase2, dqo, counters);
   m.execution_phases += phase1.execution_phases();

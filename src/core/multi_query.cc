@@ -154,7 +154,6 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   loop_options.strategy = strategy;
   loop_options.config = config_.strategy;
   loop_options.slice_batches = config_.slice_batches;
-  loop_options.targeted_replans = config_.targeted_replans;
   loop_options.kernels = config_.kernels;
   loop_options.cache = cache;
   SharedQueryLoop loop(&ctx, loop_options);

@@ -42,13 +42,6 @@ const char* MultiModeName(MultiMode mode);
 struct MultiQueryConfig : EngineConfig {
   /// Batches one query executes before yielding to the next (kShared).
   int64_t slice_batches = 32;
-  /// kShared: route a RateChange replan only to the queries actually
-  /// reading the drifting source (CommManager::LastRateChangeSource)
-  /// instead of replanning the query that happened to observe it.
-  /// Changes replan timing and therefore degradation decisions and
-  /// metrics; off by default to keep the baseline byte-identical
-  /// (DESIGN.md §9).
-  bool targeted_replans = false;
 };
 
 /// Results of one multi-query execution.

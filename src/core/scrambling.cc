@@ -4,11 +4,46 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "core/dqo.h"
-#include "core/dqp.h"
 #include "core/strategy_internal.h"
 
 namespace dqsched::core {
+
+namespace {
+
+// A scrambling step: the starving current operator (order[cursor]) is
+// suspended (implicitly — it has no data) and other work is picked.
+void Scramble(ExecutionState& state, exec::ExecContext& ctx,
+              const std::vector<ChainId>& order, size_t cursor,
+              std::vector<int>* scrambled) {
+  // (i) another runnable pipeline chain, in iterator order.
+  for (size_t k = cursor + 1; k < order.size(); ++k) {
+    const ChainId c = order[k];
+    if (state.ChainDone(c) || !state.CSchedulable(c)) continue;
+    const int frag = state.ChainFragment(c);
+    if (!state.FragmentActive(frag)) continue;
+    if (std::find(scrambled->begin(), scrambled->end(), frag) !=
+        scrambled->end()) {
+      continue;
+    }
+    scrambled->push_back(frag);
+    return;
+  }
+  // (ii) otherwise materialize some blocked wrapper's output.
+  for (size_t k = cursor + 1; k < order.size(); ++k) {
+    const ChainId c = order[k];
+    if (state.ChainDone(c) || state.CSchedulable(c) || state.Degraded(c)) {
+      continue;
+    }
+    if (ctx.comm.RemainingTuples(state.compiled().chain(c).source) == 0) {
+      continue;
+    }
+    scrambled->push_back(state.Degrade(c, ctx));
+    return;
+  }
+  // (iii) "there is no more work to scramble" [1]: wait it out.
+}
+
+}  // namespace
 
 Result<ExecutionMetrics> RunScrambling(ExecutionState& state,
                                        exec::ExecContext& ctx,
@@ -31,106 +66,31 @@ Result<ExecutionMetrics> RunScrambling(ExecutionState& state,
   // arrives" — the DQP's priority rule gives exactly that).
   std::vector<int> scrambled;
 
-  int64_t guard = 0;
-  while (!state.QueryDone()) {
-    DQS_CHECK_MSG(++guard < (1LL << 40), "scrambling livelock");
-    // Degraded chains whose ancestors finished resume from their
-    // materialized prefix, as in DSE.
-    for (ChainId c = 0; c < state.num_chains(); ++c) {
-      if (!state.ChainDone(c) && state.Degraded(c) &&
-          !state.CfActivated(c) && state.CSchedulable(c)) {
-        state.ActivateCf(c, ctx);
-      }
-    }
-    while (cursor < order.size() && state.ChainDone(order[cursor])) {
-      ++cursor;
-    }
-    DQS_CHECK_MSG(cursor < order.size(), "cursor past end with query "
-                                         "unfinished");
-
-    SchedulingPlan sp;
-    sp.fragments.push_back(state.ChainFragment(order[cursor]));
-    sp.critical_ns.push_back(0.0);
-    for (int frag : scrambled) {
-      if (!state.FragmentActive(frag)) continue;
-      sp.fragments.push_back(frag);
-      sp.critical_ns.push_back(0.0);
-    }
-
-    Result<Event> evt = dqp.RunPhase(state, sp, ctx);
-    if (!evt.ok()) return evt.status();
-    switch (evt->kind) {
-      case EventKind::kEndOfQf:
-        state.OnFragmentFinished(evt->fragment, ctx);
-        break;
-      case EventKind::kTimeout: {
-        // A scrambling step: suspend the starving current operator
-        // (implicit — it has no data) and pick other work.
-        ++counters.timeouts;
-        dqo.OnTimeout();
-        bool found = false;
-        // (i) another runnable pipeline chain, in iterator order.
-        for (size_t k = cursor + 1; k < order.size() && !found; ++k) {
-          const ChainId c = order[k];
-          if (state.ChainDone(c) || !state.CSchedulable(c)) continue;
-          const int frag = state.ChainFragment(c);
+  // Scrambling is timeout-driven: it ignores rate estimates, and the
+  // detector's verdict only matters when it is terminal.
+  DQS_RETURN_IF_ERROR(internal::RunPhases(
+      state, ctx, dqp, dqo, FaultPolicy{}, " under scrambling",
+      [&](const Event* last, SchedulingPlan* sp) {
+        if (last != nullptr && last->kind == EventKind::kTimeout) {
+          Scramble(state, ctx, order, cursor, &scrambled);
+        }
+        // Degraded chains whose ancestors finished resume from their
+        // materialized prefix, as in DSE.
+        for (ChainId c = 0; c < state.num_chains(); ++c) {
+          if (!state.ChainDone(c) && state.Degraded(c) &&
+              !state.CfActivated(c) && state.CSchedulable(c)) {
+            state.ActivateCf(c, ctx);
+          }
+        }
+        internal::PlanCurrentChain(state, order, &cursor, sp);
+        for (int frag : scrambled) {
           if (!state.FragmentActive(frag)) continue;
-          if (std::find(scrambled.begin(), scrambled.end(), frag) !=
-              scrambled.end()) {
-            continue;
-          }
-          scrambled.push_back(frag);
-          found = true;
+          sp->fragments.push_back(frag);
+          sp->critical_ns.push_back(0.0);
         }
-        // (ii) otherwise materialize some blocked wrapper's output.
-        for (size_t k = cursor + 1; k < order.size() && !found; ++k) {
-          const ChainId c = order[k];
-          if (state.ChainDone(c) || state.CSchedulable(c) ||
-              state.Degraded(c)) {
-            continue;
-          }
-          if (ctx.comm.RemainingTuples(state.compiled().chain(c).source) ==
-              0) {
-            continue;
-          }
-          scrambled.push_back(state.Degrade(c, ctx));
-          found = true;
-        }
-        // (iii) "there is no more work to scramble" [1]: wait it out.
-        break;
-      }
-      case EventKind::kMemoryOverflow:
-        DQS_RETURN_IF_ERROR(dqo.HandleMemoryOverflow(
-            state, ctx, state.FragmentChain(evt->fragment)));
-        break;
-      case EventKind::kRateChange:
-        // Scrambling is timeout-driven; it ignores rate estimates.
-        ++counters.rate_changes;
-        ctx.comm.MarkPlanned(ctx.clock.now());
-        break;
-      case EventKind::kPlanExhausted:
-        break;  // rebuild the plan (scrambled set may have gone stale)
-      case EventKind::kSourceDown:
-        // Scrambling reacts to silence through its timeout machinery; the
-        // detector's verdict only matters when it is terminal.
-        ++counters.source_down_events;
-        if (ctx.comm.SourceDead(evt->source)) {
-          return Status::Unavailable("source " + std::to_string(evt->source) +
-                                     " declared dead under scrambling");
-        }
-        break;
-      case EventKind::kSourceRecovered:
-        ++counters.source_recovered_events;
-        break;
-      case EventKind::kDeadlineExceeded:
-        counters.deadline_hit = true;
-        return Status::DeadlineExceeded(
-            "query deadline expired under scrambling");
-      case EventKind::kSliceEnd:
-      case EventKind::kStarved:
-        return Status::Internal("multi-query event in scrambling");
-    }
-  }
+        return Status::Ok();
+      },
+      [&] { return state.QueryDone(); }, &counters));
   return internal::CollectMetrics(ctx, state, /*dqs=*/nullptr, dqp, dqo,
                                   counters);
 }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "core/strategy_internal.h"
 
 namespace dqsched::core {
 
@@ -80,22 +81,6 @@ int SharedQueryLoop::AddQuery(const SharedQueryDesc& desc) {
   return q;
 }
 
-Status SharedQueryLoop::BuildPlan(QueryRun& run) {
-  if (options_.strategy == StrategyKind::kDse) {
-    return run.dqs->ComputePlan(*run.state, *ctx_, *run.dqo, &run.sp);
-  }
-  // kSeq: the current chain of the iterator order, alone.
-  while (run.seq_cursor < run.seq_order.size() &&
-         run.state->ChainDone(run.seq_order[run.seq_cursor])) {
-    ++run.seq_cursor;
-  }
-  DQS_CHECK(run.seq_cursor < run.seq_order.size());
-  run.sp.fragments.assign(
-      1, run.state->ChainFragment(run.seq_order[run.seq_cursor]));
-  run.sp.critical_ns.assign(1, 0.0);
-  return Status::Ok();
-}
-
 uint64_t SharedQueryLoop::QueryEpoch(const QueryRun& run) const {
   // Any mutation that can move the query's earliest arrival bumps one of
   // these monotone counters, so an unchanged sum proves the cached
@@ -166,7 +151,13 @@ Result<SharedQueryLoop::Turn> SharedQueryLoop::Step() {
   QueryRun& run = *runs_[static_cast<size_t>(cur)];
 
   if (run.need_replan) {
-    DQS_RETURN_IF_ERROR(BuildPlan(run));
+    if (options_.strategy == StrategyKind::kDse) {
+      DQS_RETURN_IF_ERROR(
+          run.dqs->ComputePlan(*run.state, *ctx_, *run.dqo, &run.sp));
+    } else {
+      internal::PlanCurrentChain(*run.state, run.seq_order, &run.seq_cursor,
+                                 &run.sp);
+    }
     run.need_replan = false;
   }
   Result<Event> evt = run.dqp->RunPhase(*run.state, run.sp, *ctx_);
@@ -193,27 +184,9 @@ Result<SharedQueryLoop::Turn> SharedQueryLoop::Step() {
       if (options_.strategy == StrategyKind::kSeq) {
         ctx_->comm.MarkPlanned(ctx_->clock.now());
       }
-      if (options_.targeted_replans) {
-        // Route the replan to the query subscribed to the drifting
-        // source rather than the one that happened to observe the
-        // signal. Unattributable or orphaned signals fall back to the
-        // observer so the estimate snapshot is always re-acknowledged.
-        const SourceId src = ctx_->comm.LastRateChangeSource();
-        const int owner =
-            src == kInvalidId ? -1 : source_owner_[static_cast<size_t>(src)];
-        if (owner >= 0 && !runs_[static_cast<size_t>(owner)]->done) {
-          runs_[static_cast<size_t>(owner)]->need_replan = true;
-        } else {
-          run.need_replan = true;
-        }
-      } else {
-        run.need_replan = true;
-      }
-      break;
-    case EventKind::kTimeout:
-      ++run.timeouts;
       run.need_replan = true;
       break;
+    case EventKind::kTimeout:  // never raised: yield_on_starvation is set
     case EventKind::kPlanExhausted:
       run.need_replan = true;
       break;
@@ -310,7 +283,6 @@ ExecutionMetrics SharedQueryLoop::QueryMetrics(int query) const {
   m.cf_activations = run.state->cf_activations();
   m.dqo_splits = run.state->dqo_splits();
   m.operand_spills = run.dqo->spills();
-  m.timeouts = run.timeouts;
   m.rate_change_events = run.rate_change_events;
   // Per-query cache attribution: chains this query served from cached
   // segments, and whether the whole query was a result hit. Admission and

@@ -46,7 +46,7 @@ namespace dqsched::core {
 /// annotated, its chain sources remapped into the context's global id
 /// space, and it must outlive the loop; [source_lo, source_hi) is the
 /// query's contiguous range of global source ids (the arrival cache's
-/// epoch and the targeted-replan subscription read it).
+/// epoch and the lifecycle turns' source owner read it).
 struct SharedQueryDesc {
   const plan::CompiledPlan* compiled = nullptr;
   SourceId source_lo = 0;
@@ -74,8 +74,6 @@ class SharedQueryLoop {
     StrategyConfig config;
     /// Batches one query executes before yielding to the next.
     int64_t slice_batches = 32;
-    /// Route RateChange replans to the subscribed query (DESIGN §9).
-    bool targeted_replans = false;
     /// Surface lifecycle events (deadline expiry, source suspicion /
     /// death / recovery) as Turn kinds for the caller's lifecycle manager
     /// instead of failing the whole loop (the pre-§13 behaviour, kept as
@@ -170,10 +168,11 @@ class SharedQueryLoop {
   }
 
   /// The per-query-attributable slice of ExecutionMetrics: result,
-  /// planning/execution phase counts, degradation/overflow/timeout
-  /// activity. Shared-device fields (busy/stalled time, disk, network,
-  /// temps, peak memory) stay zero — they belong to the owning context
-  /// and are aggregated by the driver in its documented merge order.
+  /// planning/execution phase counts, degradation/overflow/rate-change
+  /// activity (timeouts stay zero: the loop's DQPs never stall).
+  /// Shared-device fields (busy/stalled time, disk, network, temps, peak
+  /// memory) stay zero — they belong to the owning context and are
+  /// aggregated by the caller in its documented merge order.
   ExecutionMetrics QueryMetrics(int query) const;
 
  private:
@@ -200,12 +199,10 @@ class SharedQueryLoop {
     uint64_t arrival_epoch = 0;
     bool arrival_valid = false;
     bool arrival_volatile = false;
-    // Event counters surfaced through QueryMetrics.
-    int64_t timeouts = 0;
+    // Event counter surfaced through QueryMetrics.
     int64_t rate_change_events = 0;
   };
 
-  Status BuildPlan(QueryRun& run);
   uint64_t QueryEpoch(const QueryRun& run) const;
   /// The all-starved stall target: refreshes stale per-query minima and
   /// pops the lazy heap. kSimTimeNever when no active query ever receives
@@ -215,7 +212,7 @@ class SharedQueryLoop {
   exec::ExecContext* ctx_;
   Options options_;
   std::vector<std::unique_ptr<QueryRun>> runs_;
-  /// Global source id -> owning slot (targeted replans); -1 = unowned.
+  /// Global source id -> owning slot; -1 = unowned.
   std::vector<int> source_owner_;
   /// Lazy min-heap over per-query earliest arrivals (same stale-entry
   /// pattern as CommManager's pump heap): `arrival_key_[q]` is the only

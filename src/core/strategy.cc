@@ -1,5 +1,7 @@
 #include "core/strategy.h"
 
+#include <string>
+
 #include "common/macros.h"
 #include "core/engine.h"
 #include "core/strategy_internal.h"
@@ -78,56 +80,77 @@ ExecutionMetrics CollectMetrics(const exec::ExecContext& ctx,
   return m;
 }
 
-Status DriveChain(ChainId chain, ExecutionState& state,
-                  exec::ExecContext& ctx, Dqp& dqp, Dqo& dqo,
-                  StrategyCounters* counters) {
+Status RunPhases(
+    ExecutionState& state, exec::ExecContext& ctx, Dqp& dqp, Dqo& dqo,
+    const FaultPolicy& fault, const char* where,
+    const std::function<Status(const Event* last, SchedulingPlan* sp)>& plan,
+    const std::function<bool()>& done, StrategyCounters* counters) {
+  SchedulingPlan sp;  // refilled by every plan step
+  Event last;
+  const Event* ended = nullptr;  // the event that ended the last phase
   int64_t guard = 0;
-  while (!state.ChainDone(chain)) {
-    DQS_CHECK_MSG(++guard < (1LL << 40), "DriveChain livelock on chain %d",
-                  chain);
-    SchedulingPlan sp;
-    sp.fragments.push_back(state.ChainFragment(chain));
-    sp.critical_ns.push_back(0.0);
+  while (!done()) {
+    DQS_CHECK_MSG(++guard < (1LL << 40), "phase-loop livelock%s", where);
+    DQS_RETURN_IF_ERROR(plan(ended, &sp));
     Result<Event> evt = dqp.RunPhase(state, sp, ctx);
     if (!evt.ok()) return evt.status();
-    switch (evt->kind) {
+    last = *evt;
+    ended = &last;
+    switch (last.kind) {
       case EventKind::kEndOfQf:
-        state.OnFragmentFinished(evt->fragment, ctx);
-        break;
-      case EventKind::kMemoryOverflow:
-        DQS_RETURN_IF_ERROR(dqo.HandleMemoryOverflow(state, ctx, chain));
+        state.OnFragmentFinished(last.fragment, ctx);
         break;
       case EventKind::kRateChange:
+        // Acknowledge the new estimates, or the same drift fires again
+        // at once. DSE's ComputePlan takes the same snapshot next.
         ++counters->rate_changes;
         ctx.comm.MarkPlanned(ctx.clock.now());
         break;
       case EventKind::kTimeout:
         ++counters->timeouts;
-        dqo.OnTimeout();
         break;
-      case EventKind::kPlanExhausted:
-        return Status::Internal("chain " + std::to_string(chain) +
-                                " cannot make progress");
-      case EventKind::kSourceDown:
-        // Sequential execution has no useful partial answer: a declared
-        // death aborts the run; mere suspicion keeps waiting (the stream
-        // may recover, and the detector will escalate if not).
-        ++counters->source_down_events;
-        if (ctx.comm.SourceDead(evt->source)) {
-          return Status::Unavailable("source " + std::to_string(evt->source) +
-                                     " declared dead");
+      case EventKind::kMemoryOverflow: {
+        const ChainId chain = state.FragmentChain(last.fragment);
+        // Only MA's materializations belong to no chain; they hold no
+        // operands, so none can fail to open.
+        if (chain == kInvalidId) {
+          return Status::Internal("materialization cannot overflow memory");
         }
+        DQS_RETURN_IF_ERROR(dqo.HandleMemoryOverflow(state, ctx, chain));
+        break;
+      }
+      case EventKind::kPlanExhausted:
+        break;  // plan again
+      case EventKind::kSourceDown:
+        // Mere suspicion keeps the run going: the stream may recover, and
+        // the detector escalates if it does not (DSE's next plan drops the
+        // suspected chain's critical priority).
+        ++counters->source_down_events;
+        if (!ctx.comm.SourceDead(last.source)) break;
+        if (!fault.partial_results) {
+          return Status::Unavailable("source " + std::to_string(last.source) +
+                                     " declared dead" + where);
+        }
+        // Partial-result policy: give the stream up. Its chain drains
+        // what arrived and completes; downstream joins see a subset.
+        ctx.comm.AbandonSource(last.source);
+        ++counters->sources_abandoned;
+        counters->partial_result = true;
         break;
       case EventKind::kSourceRecovered:
         ++counters->source_recovered_events;
         break;
       case EventKind::kDeadlineExceeded:
         counters->deadline_hit = true;
-        return Status::DeadlineExceeded("query deadline expired on chain " +
-                                        std::to_string(chain));
+        if (!fault.partial_results) {
+          return Status::DeadlineExceeded(
+              std::string("query deadline expired") + where);
+        }
+        counters->partial_result = true;
+        return Status::Ok();
       case EventKind::kSliceEnd:
       case EventKind::kStarved:
-        return Status::Internal("multi-query event in DriveChain");
+        return Status::Internal("multi-query event in a single-query run");
     }
   }
   return Status::Ok();

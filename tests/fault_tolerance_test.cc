@@ -549,6 +549,13 @@ TEST(FaultEndToEnd, TransientStallSuspectsThenRecovers) {
         << core::StrategyName(kind);
     EXPECT_FALSE(r->fault.partial_result) << core::StrategyName(kind);
   }
+  // Scrambling reacts to the silence through its own timeout and rides
+  // out the suspicion the same way.
+  Result<ExecutionMetrics> scr = m.ExecuteScrambling(Milliseconds(20));
+  ASSERT_TRUE(scr.ok()) << scr.status().ToString();
+  EXPECT_GE(scr->fault.source_down_events, 1);
+  EXPECT_GE(scr->fault.source_recovered_events, 1);
+  EXPECT_FALSE(scr->fault.partial_result);
 }
 
 TEST(FaultEndToEnd, DeathIsUnavailableUnderStrictPolicy) {
@@ -562,6 +569,10 @@ TEST(FaultEndToEnd, DeathIsUnavailableUnderStrictPolicy) {
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
         << core::StrategyName(kind) << ": " << r.status().ToString();
   }
+  Result<ExecutionMetrics> scr = m.ExecuteScrambling(Milliseconds(20));
+  ASSERT_FALSE(scr.ok());
+  EXPECT_EQ(scr.status().code(), StatusCode::kUnavailable)
+      << scr.status().ToString();
 }
 
 TEST(FaultEndToEnd, DeathYieldsPartialResultUnderDse) {
@@ -614,6 +625,10 @@ TEST(FaultDeadline, StrictPolicyAborts) {
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
         << core::StrategyName(kind) << ": " << r.status().ToString();
   }
+  Result<ExecutionMetrics> scr = m.ExecuteScrambling(Milliseconds(20));
+  ASSERT_FALSE(scr.ok());
+  EXPECT_EQ(scr.status().code(), StatusCode::kDeadlineExceeded)
+      << scr.status().ToString();
 }
 
 TEST(FaultDeadline, PartialPolicyReturnsWhatArrived) {

@@ -11,7 +11,6 @@
 
 #include "core/dqp.h"
 #include "core/dqs.h"
-#include "core/multi_query.h"
 #include "plan/canonical_plans.h"
 #include "wrapper/wrapper.h"
 
@@ -156,29 +155,6 @@ TEST_F(PlanCacheTest, RateDriftReplanIsServedIncrementally) {
   // check — so the phase itself still counts as incremental.)
   ASSERT_TRUE(warm.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
   EXPECT_EQ(warm.incremental_replans(), 1);
-}
-
-TEST(TargetedReplans, SharedMixStaysCorrect) {
-  // targeted_replans routes RateChange replans by source ownership; the
-  // metrics may legitimately differ from the default, but every query's
-  // result must still verify against its reference answer (Create()
-  // enables verify_results by default).
-  std::vector<plan::QuerySetup> mix;
-  mix.push_back(plan::PaperFigure5Query(0.02));
-  mix.push_back(plan::TinyTwoSourceQuery());
-  mix.push_back(plan::ChainThreeSourceQuery());
-  MultiQueryConfig config;
-  config.targeted_replans = true;
-  Result<MultiQueryMediator> mediator =
-      MultiQueryMediator::Create(std::move(mix), config);
-  ASSERT_TRUE(mediator.ok()) << mediator.status().ToString();
-  for (StrategyKind kind : {StrategyKind::kSeq, StrategyKind::kDse}) {
-    Result<MultiQueryMetrics> metrics =
-        mediator->Execute(kind, MultiMode::kShared);
-    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-    EXPECT_EQ(metrics->response_times.size(), 3u);
-    EXPECT_GT(metrics->total_result_tuples, 0);
-  }
 }
 
 }  // namespace
