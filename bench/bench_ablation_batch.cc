@@ -1,85 +1,8 @@
-// Ablation: the DQP's batch size (paper Section 3.2: batches amortize
-// fragment-switch overheads; footnote 1 notes the size can vary). In the
-// simulator switching is free, so the visible effect is scheduling
-// granularity: how promptly the processor returns to the highest-priority
-// fragment and how well queues are kept drained.
-//
-// The kernel columns ablate the operator kernels themselves: the same DSE
-// run with the vectorized (selection-vector) kernels and with the scalar
-// tuple-at-a-time kernels. Simulated seconds are byte-identical by the
-// determinism contract (DESIGN §10); only host wall time (--walls)
-// separates them, and more so as batches grow.
+// Ablation of the DQP's batch size and kernels (paper Section 3.2).
+// Declared in experiments.cc.
 
-#include <chrono>
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.5);
-  bench::PrintPreamble("Batch-size sensitivity of the DQP",
-                       "ablation of Section 3.2's batching", options);
-
-  plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-  setup.catalog.sources[0].delay.mean_us *= 3.0;  // give DSE work to overlap
-
-  const int64_t batch_sizes[] = {16, 64, 128, 512, 2048, 8192};
-  const size_t points = sizeof(batch_sizes) / sizeof(batch_sizes[0]);
-  std::vector<double> walls_ms(points * 2, 0.0);
-  std::vector<bench::MeasureCell> cells;
-  for (size_t i = 0; i < points; ++i) {
-    for (int scalar = 0; scalar < 2; ++scalar) {
-      core::MediatorConfig config = bench::DefaultConfig(options);
-      config.strategy.dqp.batch_size = batch_sizes[i];
-      config.kernels.scalar = scalar != 0;
-      double* wall_out = &walls_ms[i * 2 + static_cast<size_t>(scalar)];
-      cells.push_back([&setup, config, &options, wall_out] {
-        const auto start = std::chrono::steady_clock::now();
-        auto outcome = bench::MeasureStrategy(
-            setup, config, core::StrategyKind::kDse, options.repeats);
-        *wall_out = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        return outcome;
-      });
-    }
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  std::vector<std::string> headers = {"batch (tuples)", "DSE (s)",
-                                      "DSE scalar-kernels (s)",
-                                      "execution phases", "stalled (s)"};
-  if (options.walls) {
-    headers.push_back("wall vec (ms)");
-    headers.push_back("wall scalar (ms)");
-  }
-  TablePrinter table(headers);
-  for (size_t i = 0; i < points; ++i) {
-    const auto& dse = results[i * 2];
-    const auto& dse_scalar = results[i * 2 + 1];
-    std::vector<std::string> row = {
-        std::to_string(batch_sizes[i]), bench::Cell(dse),
-        bench::Cell(dse_scalar),
-        std::to_string(dse.metrics.execution_phases),
-        TablePrinter::Num(ToSecondsF(dse.metrics.stalled_time))};
-    if (options.walls) {
-      row.push_back(TablePrinter::Num(walls_ms[i * 2]));
-      row.push_back(TablePrinter::Num(walls_ms[i * 2 + 1]));
-    }
-    table.AddRow(row);
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: broad plateau — response time is insensitive over\n"
-      "a wide range (the paper's rationale for batching), degrading only\n"
-      "at extreme sizes where scheduling becomes too coarse. The two DSE\n"
-      "columns must agree exactly (kernel determinism contract); only the\n"
-      "--walls columns may separate them.\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_ablation_batch", argc, argv);
 }

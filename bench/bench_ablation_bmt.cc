@@ -1,54 +1,8 @@
-// Ablation: sensitivity of DSE to the benefit materialization threshold
-// bmt (paper Section 4.4 defines bmi/bmt; Section 5.1.3 fixes bmt = 1 for
-// the single-query experiments; Section 6 plans tuning experiments — this
-// bench is that experiment). Low bmt degrades eagerly; a huge bmt disables
-// degradation entirely, leaving only direct chain interleaving.
+// Ablation of DSE's benefit materialization threshold (Section 4.4).
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.5);
-  bench::PrintPreamble("bmt sensitivity (relation A slowed 3x)",
-                       "ablation of Section 4.4's threshold", options);
-
-  plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-  setup.catalog.sources[0].delay.mean_us *= 3.0;
-
-  const double bmt_values[] = {0.1, 0.5, 1.0, 1.5, 2.0, 5.0, 1e9};
-  std::vector<bench::MeasureCell> cells;
-  for (double bmt : bmt_values) {
-    core::MediatorConfig config = bench::DefaultConfig(options);
-    config.strategy.dqs.bmt = bmt;
-    cells.push_back([&setup, config, &options] {
-      return bench::MeasureStrategy(setup, config, core::StrategyKind::kDse,
-                                    options.repeats);
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"bmt", "DSE (s)", "degradations", "disk pages written",
-                      "stalled (s)"});
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const double bmt = bmt_values[i];
-    const auto& dse = results[i];
-    table.AddRow({bmt > 1e6 ? "inf" : TablePrinter::Num(bmt, 1),
-                  bench::Cell(dse),
-                  std::to_string(dse.metrics.degradations),
-                  std::to_string(dse.metrics.disk.pages_written),
-                  TablePrinter::Num(ToSecondsF(dse.metrics.stalled_time))});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: around bmt=1 (the paper's setting) degradation is\n"
-      "selective and response time is lowest; disabling degradation (inf)\n"
-      "forfeits the overlap and stalls the engine behind blocked chains.\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_ablation_bmt", argc, argv);
 }

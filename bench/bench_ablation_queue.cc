@@ -1,51 +1,8 @@
-// Ablation: per-wrapper queue capacity (paper Section 2.1's window
-// protocol: "a queue of a given size"). Small queues throttle wrappers
-// aggressively (retrievals stretch); large queues buffer bursts at the
-// cost of mediator memory.
+// Ablation of the per-wrapper queue capacity (paper Section 2.1).
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.5);
-  bench::PrintPreamble("Queue-capacity sensitivity (window protocol)",
-                       "ablation of Section 2.1's flow control", options);
-
-  plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-
-  const int64_t capacities[] = {64, 256, 1024, 4096, 16384};
-  std::vector<bench::MeasureCell> cells;
-  for (int64_t capacity : capacities) {
-    core::MediatorConfig config = bench::DefaultConfig(options);
-    config.comm.queue_capacity = capacity;
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse}) {
-      cells.push_back([&setup, config, kind, &options] {
-        return bench::MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table(
-      {"queue capacity (tuples)", "SEQ (s)", "DSE (s)", "DSE gain (%)"});
-  for (size_t i = 0; i < std::size(capacities); ++i) {
-    const auto& seq = results[2 * i];
-    const auto& dse = results[2 * i + 1];
-    table.AddRow({std::to_string(capacities[i]), bench::Cell(seq),
-                  bench::Cell(dse), bench::GainCell(seq, dse)});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: SEQ benefits from larger queues (other wrappers\n"
-      "prefill while it drains one stream); DSE is largely insensitive —\n"
-      "it keeps every queue moving regardless of capacity.\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_ablation_queue", argc, argv);
 }

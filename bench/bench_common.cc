@@ -2,113 +2,216 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include "common/table_printer.h"
 
 namespace dqsched::bench {
 
 namespace {
 
-/// Strict numeric parsers: the whole value must convert, so "--jobs=two"
-/// is a usage error instead of a silent zero.
-bool ParseDoubleArg(const char* text, double* out) {
-  if (*text == '\0') return false;
+/// Strict numeric parsers: the whole value must convert, be finite and
+/// fit, so "--jobs=two", "--scale=nan" and "--jobs=4294967296" are usage
+/// errors instead of silent zeros, NaNs or truncations.
+bool ParseFinite(const std::string& text, double* out) {
+  if (text.empty()) return false;
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
+  const double v = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
 
-bool ParseIntArg(const char* text, long long* out) {
-  if (*text == '\0') return false;
+bool ParseInt(const std::string& text, long long lo, long long hi,
+              long long* out) {
+  if (text.empty()) return false;
   char* end = nullptr;
   errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
   *out = v;
   return true;
 }
 
-[[noreturn]] void UsageError(const std::string& error, const char* argv0) {
-  std::fprintf(stderr,
-               "%s\nusage: %s [--scale=F] [--repeats=N] [--seed=N] "
-               "[--jobs=N] [--csv] [--walls]\n",
-               error.c_str(), argv0);
+bool SetScale(const std::string& text, BenchOptions* options) {
+  double v = 0;
+  if (!ParseFinite(text, &v) || v <= 0) return false;
+  options->scale = v;
+  return true;
+}
+
+bool SetRepeats(const std::string& text, BenchOptions* options) {
+  long long n = 0;
+  if (!ParseInt(text, 1, INT_MAX, &n)) return false;
+  options->repeats = static_cast<int>(n);
+  return true;
+}
+
+bool SetSeed(const std::string& text, BenchOptions* options) {
+  long long n = 0;
+  if (!ParseInt(text, 0, LLONG_MAX, &n)) return false;
+  options->seed = static_cast<uint64_t>(n);
+  return true;
+}
+
+bool SetJobs(const std::string& text, BenchOptions* options) {
+  long long n = 0;
+  if (!ParseInt(text, 0, INT_MAX, &n)) return false;
+  options->jobs = static_cast<int>(n);
+  return true;
+}
+
+bool SetCsv(const std::string&, BenchOptions* options) {
+  options->csv = true;
+  return true;
+}
+
+bool SetWalls(const std::string&, BenchOptions* options) {
+  options->walls = true;
+  return true;
+}
+
+bool SetStorm(const std::string& text, BenchOptions* options) {
+  return wrapper::ParseStormKind(text, &options->storm);
+}
+
+bool SetDeadline(const std::string& text, BenchOptions* options) {
+  // At most 1e9 s, so the budget's nanoseconds fit the virtual clock.
+  double v = 0;
+  if (!ParseFinite(text, &v) || v < 0 || v > 1e9) return false;
+  options->deadline_s = v;
+  return true;
+}
+
+bool SetCache(const std::string& text, BenchOptions* options) {
+  for (CacheMode mode : {CacheMode::kOff, CacheMode::kCold, CacheMode::kWarm}) {
+    if (text == CacheModeName(mode)) {
+      options->cache = mode;
+      return true;
+    }
+  }
+  return false;
+}
+
+[[noreturn]] void UsageError(const std::string& error, const char* argv0,
+                             const std::vector<Flag>& flags) {
+  std::vector<std::string> forms;
+  size_t width = 0;
+  std::string usage = std::string("usage: ") + argv0;
+  for (const Flag& flag : flags) {
+    forms.push_back(flag.name +
+                    (flag.value ? "=" + std::string(flag.value) : ""));
+    width = std::max(width, forms.back().size());
+    usage += " [" + forms.back() + "]";
+  }
+  std::fprintf(stderr, "%s\n%s\n", error.c_str(), usage.c_str());
+  for (size_t i = 0; i < flags.size(); ++i) {
+    std::fprintf(stderr, "  %-*s  %s\n", static_cast<int>(width),
+                 forms[i].c_str(), flags[i].help);
+  }
   std::exit(2);
 }
 
 }  // namespace
 
+const Flag kScaleFlag = {"--scale", "F",
+                         "cardinality multiplier (default per bench)",
+                         SetScale};
+const Flag kRepeatsFlag = {
+    "--repeats", "N",
+    "measurements averaged per point, on distinct seeds (the simulator is "
+    "deterministic per seed, so 1 is representative)",
+    SetRepeats};
+const Flag kSeedFlag = {"--seed", "N", "base seed (default 42)", SetSeed};
+const Flag kJobsFlag = {"--jobs", "N",
+                        "worker threads (0 = one per core); every result is "
+                        "identical for every value",
+                        SetJobs};
+const Flag kCsvFlag = {"--csv", nullptr, "machine-readable output", SetCsv};
+const Flag kWallsFlag = {
+    "--walls", nullptr,
+    "append host wall-time columns, the one column that differs between "
+    "runs and --jobs values",
+    SetWalls};
+const Flag kStormFlag = {"--storm", "none|region-outage|cascade|flapping",
+                         "correlated fault storm (default none)", SetStorm};
+const Flag kDeadlineFlag = {
+    "--deadline", "SEC",
+    "per-attempt deadline budget in scale-1 virtual seconds, multiplied by "
+    "--scale like the query durations (default 0 = none)",
+    SetDeadline};
+const Flag kCacheFlag = {
+    "--cache", "off|cold|warm",
+    "result cache: cold (the default) starts every cell on an empty cache, "
+    "identical to off on every non-wall column; warm measures a repeat "
+    "after one unmeasured run",
+    SetCache};
+
+const char* CacheModeName(CacheMode mode) {
+  switch (mode) {
+    case CacheMode::kOff:
+      return "off";
+    case CacheMode::kCold:
+      return "cold";
+    case CacheMode::kWarm:
+      return "warm";
+  }
+  return "unknown";
+}
+
+std::vector<Flag> TableFlags(const std::vector<Flag>& own) {
+  std::vector<Flag> flags = {kScaleFlag, kRepeatsFlag, kSeedFlag,
+                             kJobsFlag,  kCsvFlag,     kWallsFlag};
+  flags.insert(flags.end(), own.begin(), own.end());
+  return flags;
+}
+
 std::optional<BenchOptions> TryParseOptions(int argc, char** argv,
                                             double default_scale,
+                                            const std::vector<Flag>& flags,
                                             std::string* error) {
   BenchOptions options;
   options.scale = default_scale;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    long long n = 0;
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      if (!ParseDoubleArg(arg + 8, &options.scale)) {
-        *error = std::string("bad value in ") + arg;
-        return std::nullopt;
-      }
-    } else if (std::strncmp(arg, "--repeats=", 10) == 0) {
-      if (!ParseIntArg(arg + 10, &n)) {
-        *error = std::string("bad value in ") + arg;
-        return std::nullopt;
-      }
-      options.repeats = static_cast<int>(n);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      if (!ParseIntArg(arg + 7, &n) || n < 0) {
-        *error = std::string("bad value in ") + arg;
-        return std::nullopt;
-      }
-      options.seed = static_cast<uint64_t>(n);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      if (!ParseIntArg(arg + 7, &n) || n < 0) {
-        *error = std::string("bad value in ") + arg;
-        return std::nullopt;
-      }
-      options.jobs = static_cast<int>(n);
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      options.csv = true;
-    } else if (std::strcmp(arg, "--walls") == 0) {
-      options.walls = true;
-    } else {
-      *error = std::string("unknown flag ") + arg;
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&name](const Flag& f) {
+                                     return name == f.name;
+                                   });
+    if (flag == flags.end() ||
+        (flag->value == nullptr) != (eq == std::string::npos)) {
+      *error = "unknown flag " + arg;
       return std::nullopt;
     }
-  }
-  if (options.scale <= 0) {
-    *error = "scale must be > 0";
-    return std::nullopt;
-  }
-  if (options.repeats < 1) {
-    *error = "repeats must be >= 1";
-    return std::nullopt;
+    if (!flag->set(eq == std::string::npos ? "" : arg.substr(eq + 1),
+                   &options)) {
+      *error = "bad value in " + arg;
+      return std::nullopt;
+    }
   }
   return options;
 }
 
-BenchOptions ParseOptions(int argc, char** argv, double default_scale) {
+BenchOptions ParseOptions(int argc, char** argv, double default_scale,
+                          const std::vector<Flag>& flags) {
   std::string error;
   std::optional<BenchOptions> options =
-      TryParseOptions(argc, argv, default_scale, &error);
-  if (!options) UsageError(error, argv[0]);
+      TryParseOptions(argc, argv, default_scale, flags, &error);
+  if (!options) UsageError(error, argv[0], flags);
   return *options;
 }
 
-void RequireOneRepeat(const BenchOptions& options, const char* argv0) {
+void RequireOneRepeat(const BenchOptions& options, const char* argv0,
+                      const std::vector<Flag>& flags) {
   if (options.repeats == 1) return;
   UsageError("--repeats=" + std::to_string(options.repeats) +
                  " is not supported: each cell runs once",
-             argv0);
+             argv0, flags);
 }
 
 core::MediatorConfig DefaultConfig(const BenchOptions& options) {
@@ -117,10 +220,11 @@ core::MediatorConfig DefaultConfig(const BenchOptions& options) {
   return config;
 }
 
-StrategyOutcome MeasureStrategy(const plan::QuerySetup& setup,
-                                const core::MediatorConfig& config,
-                                core::StrategyKind kind, int repeats) {
-  StrategyOutcome outcome;
+Outcome Measure(const plan::QuerySetup& setup,
+                const core::MediatorConfig& config, int repeats,
+                const SingleRun& run) {
+  Outcome outcome;
+  const auto start = std::chrono::steady_clock::now();
   double total = 0.0;
   for (int r = 0; r < repeats; ++r) {
     core::MediatorConfig run_config = config;
@@ -131,7 +235,7 @@ StrategyOutcome MeasureStrategy(const plan::QuerySetup& setup,
       outcome.error = mediator.status().ToString();
       return outcome;
     }
-    Result<core::ExecutionMetrics> metrics = mediator->Execute(kind);
+    Result<core::ExecutionMetrics> metrics = run(*mediator);
     if (!metrics.ok()) {
       outcome.error = metrics.status().ToString();
       return outcome;
@@ -141,85 +245,32 @@ StrategyOutcome MeasureStrategy(const plan::QuerySetup& setup,
   }
   outcome.ok = true;
   outcome.seconds = total / repeats;
+  outcome.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
   return outcome;
 }
 
-StrategyOutcome MeasureScrambling(const plan::QuerySetup& setup,
-                                  const core::MediatorConfig& config,
-                                  SimDuration timeout, int repeats) {
-  StrategyOutcome outcome;
-  double total = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    core::MediatorConfig run_config = config;
-    run_config.seed = config.seed + static_cast<uint64_t>(r) * 7919;
-    Result<core::Mediator> mediator =
-        core::Mediator::Create(setup.catalog, setup.plan, run_config);
-    if (!mediator.ok()) {
-      outcome.error = mediator.status().ToString();
-      return outcome;
-    }
-    Result<core::ExecutionMetrics> metrics =
-        mediator->ExecuteScrambling(timeout);
-    if (!metrics.ok()) {
-      outcome.error = metrics.status().ToString();
-      return outcome;
-    }
-    total += ToSecondsF(metrics->response_time);
-    outcome.metrics = *metrics;
-  }
-  outcome.ok = true;
-  outcome.seconds = total / repeats;
-  return outcome;
-}
-
-StrategyOutcome MeasureDphj(const plan::QuerySetup& setup,
-                            const core::MediatorConfig& config,
-                            int repeats) {
-  StrategyOutcome outcome;
-  double total = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    core::MediatorConfig run_config = config;
-    run_config.seed = config.seed + static_cast<uint64_t>(r) * 7919;
-    Result<core::Mediator> mediator =
-        core::Mediator::Create(setup.catalog, setup.plan, run_config);
-    if (!mediator.ok()) {
-      outcome.error = mediator.status().ToString();
-      return outcome;
-    }
-    Result<core::ExecutionMetrics> metrics = mediator->ExecuteDphj();
-    if (!metrics.ok()) {
-      outcome.error = metrics.status().ToString();
-      return outcome;
-    }
-    total += ToSecondsF(metrics->response_time);
-    outcome.metrics = *metrics;
-  }
-  outcome.ok = true;
-  outcome.seconds = total / repeats;
-  return outcome;
-}
-
-std::vector<StrategyOutcome> RunCells(const BenchOptions& options,
-                                      const std::vector<MeasureCell>& cells) {
-  const ParallelRunner runner(options.jobs);
-  return RunIndexed<StrategyOutcome>(
-      runner, cells.size(), [&cells](size_t i) { return cells[i](); });
-}
-
-double LwbSeconds(const plan::QuerySetup& setup,
-                  const core::MediatorConfig& config) {
+Outcome LowerBound(const plan::QuerySetup& setup,
+                   const core::MediatorConfig& config) {
+  Outcome outcome;
   Result<core::Mediator> mediator =
       core::Mediator::Create(setup.catalog, setup.plan, config);
-  if (!mediator.ok()) return -1.0;
-  return ToSecondsF(mediator->LowerBound().bound());
+  if (!mediator.ok()) {
+    outcome.error = mediator.status().ToString();
+    return outcome;
+  }
+  outcome.ok = true;
+  outcome.seconds = ToSecondsF(mediator->LowerBound().bound());
+  return outcome;
 }
 
-std::string Cell(const StrategyOutcome& outcome) {
+std::string SecondsCell(const Outcome& outcome) {
   if (!outcome.ok) return "FAIL(" + outcome.error + ")";
   return TablePrinter::Num(outcome.seconds);
 }
 
-std::string GainCell(const StrategyOutcome& seq, const StrategyOutcome& dse) {
+std::string GainCell(const Outcome& seq, const Outcome& dse) {
   if (!seq.ok || !dse.ok || seq.seconds <= 0) return "";
   return TablePrinter::Num(100.0 * (seq.seconds - dse.seconds) / seq.seconds,
                            1);
@@ -259,93 +310,22 @@ std::string FormatStatusCounts(
   return out;
 }
 
-void PrintPreamble(const char* title, const char* paper_artifact,
+void PrintPreamble(const std::string& title, const std::string& paper_artifact,
                    const BenchOptions& options) {
-  std::printf("== %s ==\n", title);
-  std::printf("reproduces: %s\n", paper_artifact);
+  std::printf("== %s ==\n", title.c_str());
+  std::printf("reproduces: %s\n", paper_artifact.c_str());
   std::printf("scale=%.2f repeats=%d seed=%llu jobs=%d\n\n", options.scale,
               options.repeats,
               static_cast<unsigned long long>(options.seed),
               options.jobs > 0 ? options.jobs : ParallelRunner::DefaultJobs());
 }
 
-void RunSlowOneRelationBench(const char* relation,
-                             const char* paper_artifact,
-                             const BenchOptions& options) {
-  PrintPreamble(
-      (std::string("One slowed-down input relation: ") + relation).c_str(),
-      paper_artifact, options);
-  const core::MediatorConfig config = DefaultConfig(options);
-
-  plan::QuerySetup base = plan::PaperFigure5Query(options.scale);
-  const SourceId slowed = base.catalog.Find(relation);
-  if (slowed == kInvalidId) {
-    std::fprintf(stderr, "unknown relation %s\n", relation);
-    std::exit(2);
-  }
-  const int64_t n = base.catalog.source(slowed).relation.cardinality;
-  const double base_total_s =
-      static_cast<double>(n) * base.catalog.source(slowed).delay.mean_us /
-      1e6;
-
-  // X axis: total time to retrieve the slowed relation (paper's axis),
-  // from the unslowed baseline up to ~10 s at scale 1.
-  std::vector<double> targets_s = {base_total_s};
-  for (double t = 2.0; t <= 10.01; t += 2.0) {
-    const double scaled = t * options.scale;
-    if (scaled > base_total_s * 1.01) targets_s.push_back(scaled);
-  }
-
-  // Every (target, strategy) point and every LWB is an independent cell.
-  std::vector<plan::QuerySetup> setups;
-  std::vector<MeasureCell> cells;
-  std::vector<double> w_values;
-  for (double target : targets_s) {
-    plan::QuerySetup setup = base;
-    const double w_us = target * 1e6 / static_cast<double>(n);
-    setup.catalog.source(slowed).delay.mean_us = w_us;
-    w_values.push_back(w_us);
-    setups.push_back(std::move(setup));
-  }
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse,
-          core::StrategyKind::kMa}) {
-      cells.push_back([&setup, &config, kind, &options] {
-        return MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &config] {
-      StrategyOutcome lwb;
-      lwb.ok = true;
-      lwb.seconds = LwbSeconds(setup, config);
-      return lwb;
-    });
-  }
-  const std::vector<StrategyOutcome> results = RunCells(options, cells);
-
-  TablePrinter table({"retrieval of " + std::string(relation) + " (s)",
-                      "w (us)", "SEQ (s)", "DSE (s)", "MA (s)", "LWB (s)",
-                      "DSE gain over SEQ (%)"});
-  for (size_t i = 0; i < targets_s.size(); ++i) {
-    const StrategyOutcome& seq = results[4 * i];
-    const StrategyOutcome& dse = results[4 * i + 1];
-    const StrategyOutcome& ma = results[4 * i + 2];
-    const StrategyOutcome& lwb = results[4 * i + 3];
-    table.AddRow({TablePrinter::Num(targets_s[i], 2),
-                  TablePrinter::Num(w_values[i], 1), Cell(seq), Cell(dse),
-                  Cell(ma), TablePrinter::Num(lwb.seconds),
-                  GainCell(seq, dse)});
-  }
+void PrintTable(const TablePrinter& table, const BenchOptions& options) {
   if (options.csv) {
     table.PrintCsv(stdout);
   } else {
     table.Print(stdout);
   }
-  std::printf(
-      "\nExpected shape (paper Section 5.2): SEQ grows linearly with the\n"
-      "slowdown; MA is roughly flat and worst until SEQ crosses it; DSE\n"
-      "stays well below SEQ and tracks LWB.\n");
 }
 
 }  // namespace dqsched::bench

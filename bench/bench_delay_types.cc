@@ -1,92 +1,8 @@
-// Reproduces the claim of paper Sections 1.3 and 6: DSE "applies to any
-// kind of delay (initial delay, bursty arrival and slow delivery)" — the
-// three delay classes of [2] — whereas scrambling-style reactions target
-// only specific ones. Relation A receives each delay shape in turn.
+// Paper Sections 1.3 and 6: initial, bursty and slow delays on A.
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.5);
-  bench::PrintPreamble("Delay-type comparison on relation A",
-                       "Sections 1.2/1.3/6 (initial / bursty / slow delays)",
-                       options);
-  const core::MediatorConfig config = bench::DefaultConfig(options);
-
-  struct Case {
-    const char* label;
-    wrapper::DelayConfig delay;
-  };
-  std::vector<Case> cases;
-  {
-    Case c{"baseline (uniform w_min)", {}};
-    cases.push_back(c);
-  }
-  {
-    Case c{"initial delay (+2 s first tuple)", {}};
-    c.delay.kind = wrapper::DelayKind::kInitial;
-    c.delay.initial_delay_ms = 2000.0 * options.scale;
-    cases.push_back(c);
-  }
-  {
-    Case c{"bursty (2000-tuple bursts, 100 ms gaps)", {}};
-    c.delay.kind = wrapper::DelayKind::kBursty;
-    c.delay.burst_length = 2000;
-    c.delay.burst_gap_ms = 100.0;
-    cases.push_back(c);
-  }
-  {
-    Case c{"slow delivery (4x w_min)", {}};
-    c.delay.kind = wrapper::DelayKind::kSlow;
-    c.delay.slow_factor = 4.0;
-    cases.push_back(c);
-  }
-
-  std::vector<plan::QuerySetup> setups;
-  for (const Case& c : cases) {
-    plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-    setup.catalog.sources[0].delay = c.delay;
-    setups.push_back(std::move(setup));
-  }
-  std::vector<bench::MeasureCell> cells;
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse,
-          core::StrategyKind::kMa}) {
-      cells.push_back([&setup, &config, kind, &options] {
-        return bench::MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &config] {
-      bench::StrategyOutcome lwb;
-      lwb.ok = true;
-      lwb.seconds = bench::LwbSeconds(setup, config);
-      return lwb;
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"delay type of A", "SEQ (s)", "DSE (s)", "MA (s)",
-                      "LWB (s)", "DSE gain (%)"});
-  for (size_t i = 0; i < cases.size(); ++i) {
-    const auto& seq = results[4 * i];
-    const auto& dse = results[4 * i + 1];
-    table.AddRow({cases[i].label, bench::Cell(seq), bench::Cell(dse),
-                  bench::Cell(results[4 * i + 2]),
-                  TablePrinter::Num(results[4 * i + 3].seconds),
-                  bench::GainCell(seq, dse)});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: DSE improves on SEQ under every delay type —\n"
-      "including slow delivery, which timeout-based scrambling cannot\n"
-      "address (paper Section 5.4).\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_delay_types", argc, argv);
 }

@@ -1,145 +1,8 @@
-// Source fault injection on the paper's Figure 6 workload (DESIGN.md §8):
-// relation A — which gates half the plan — is slowed to the bench target
-// and then hit with each fault scenario. All-or-nothing strategies (SEQ,
-// strict DSE, SCR) must survive transient faults exactly and abort
-// Unavailable on permanent death; DSE under the partial-result policy
-// degrades gracefully and reports how much of the answer survived.
+// Source faults on the Figure 6 workload (DESIGN.md §8).
+// Declared in experiments.cc.
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.25);
-  bench::PrintPreamble("Source faults on the slowed-A workload",
-                       "Section 5.2 workload under injected source faults",
-                       options);
-  const core::MediatorConfig strict = bench::DefaultConfig(options);
-  core::MediatorConfig partial = strict;
-  partial.strategy.fault.partial_results = true;
-
-  plan::QuerySetup base = plan::PaperFigure5Query(options.scale);
-  const SourceId a = base.catalog.Find("A");
-  if (a == kInvalidId) {
-    std::fprintf(stderr, "relation A missing from the figure-5 query\n");
-    return 2;
-  }
-  const int64_t card = base.catalog.source(a).relation.cardinality;
-  // Fig6 idiom: retrieval of A targets 4 s at scale 1.
-  base.catalog.source(a).delay.mean_us =
-      4.0 * options.scale * 1e6 / static_cast<double>(card);
-  const int64_t fault_at = card / 5;
-
-  struct Scenario {
-    const char* label;
-    wrapper::FaultSchedule faults;
-  };
-  std::vector<Scenario> scenarios;
-  scenarios.push_back({"none", {}});
-  {
-    Scenario s{"stall 300 ms", {}};
-    wrapper::FaultSpec f;
-    f.kind = wrapper::FaultKind::kStall;
-    f.at_tuple = fault_at;
-    f.stall = Milliseconds(300);
-    s.faults.events = {f};
-    scenarios.push_back(s);
-  }
-  {
-    Scenario s{"disconnect + replay", {}};
-    wrapper::FaultSpec f;
-    f.kind = wrapper::FaultKind::kDisconnect;
-    f.at_tuple = fault_at;
-    f.failed_attempts = 2;
-    f.backoff_initial = Milliseconds(20);
-    f.replay_from_scratch = true;
-    s.faults.events = {f};
-    scenarios.push_back(s);
-  }
-  {
-    Scenario s{"permanent death", {}};
-    wrapper::FaultSpec f;
-    f.kind = wrapper::FaultKind::kDeath;
-    f.at_tuple = fault_at;
-    s.faults.events = {f};
-    scenarios.push_back(s);
-  }
-
-  std::vector<plan::QuerySetup> setups;
-  for (const Scenario& s : scenarios) {
-    plan::QuerySetup setup = base;
-    setup.catalog.source(a).faults = s.faults;
-    setups.push_back(std::move(setup));
-  }
-
-  // The exact answer's cardinality, for the completeness column.
-  int64_t reference_card = -1;
-  {
-    Result<core::Mediator> m =
-        core::Mediator::Create(base.catalog, base.plan, strict);
-    if (m.ok()) reference_card = m->reference().result_card;
-  }
-
-  std::vector<bench::MeasureCell> cells;
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse}) {
-      cells.push_back([&setup, &strict, kind, &options] {
-        return bench::MeasureStrategy(setup, strict, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &partial, &options] {
-      return bench::MeasureStrategy(setup, partial, core::StrategyKind::kDse,
-                                    options.repeats);
-    });
-    cells.push_back([&setup, &strict, &options] {
-      return bench::MeasureScrambling(setup, strict, Milliseconds(20),
-                                      options.repeats);
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"fault on A", "SEQ (s)", "DSE (s)", "DSE partial (s)",
-                      "SCR (s)", "answer kept", "fault summary"});
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    const auto& seq = results[4 * i];
-    const auto& dse = results[4 * i + 1];
-    const auto& dse_partial = results[4 * i + 2];
-    const auto& scr = results[4 * i + 3];
-    std::string kept = "-";
-    std::string summary = "-";
-    if (dse_partial.ok) {
-      const core::FaultStats& f = dse_partial.metrics.fault;
-      if (reference_card > 0) {
-        kept = TablePrinter::Num(
-            static_cast<double>(dse_partial.metrics.result_count) /
-                static_cast<double>(reference_card),
-            3);
-      }
-      if (f.any()) {
-        summary = "suspected=" + std::to_string(f.sources_suspected) +
-                  " dead=" + std::to_string(f.sources_dead) +
-                  " dup-dropped=" + std::to_string(f.replays_discarded) +
-                  (f.partial_result ? " partial" : "");
-      }
-    }
-    table.AddRow({scenarios[i].label, bench::Cell(seq), bench::Cell(dse),
-                  bench::Cell(dse_partial), bench::Cell(scr), kept, summary});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: transient faults (stall, disconnect) cost every\n"
-      "strategy some stalled time but all finish with the exact answer;\n"
-      "permanent death fails SEQ / strict DSE / SCR with Unavailable while\n"
-      "DSE under the partial-result policy returns the surviving fraction\n"
-      "of the answer and names the dead source in the fault summary.\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_fault_tolerance", argc, argv);
 }

@@ -1,12 +1,8 @@
-// Reproduces paper Figure 6: response time of SEQ / DSE / MA (plus the
-// analytic LWB) while relation A — which gates half the plan — is
-// increasingly slowed down.
+// Paper Figure 6: relation A increasingly slowed down.
+// Declared in experiments.cc.
 
-#include "bench_common.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  const auto options = dqsched::bench::ParseOptions(argc, argv);
-  dqsched::bench::RunSlowOneRelationBench(
-      "A", "Figure 6 (one slowed-down relation experiments, A)", options);
-  return 0;
+  return dqsched::bench::RunExperiment("bench_fig6_slow_a", argc, argv);
 }

@@ -1,12 +1,8 @@
-// Reproduces paper Figure 7: the same slowdown sweep applied to relation
-// F. F blocks far less downstream work than A, so DSE absorbs its delays
-// better (paper Section 5.2's comparison of the two figures).
+// Paper Figure 7: relation F increasingly slowed down.
+// Declared in experiments.cc.
 
-#include "bench_common.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  const auto options = dqsched::bench::ParseOptions(argc, argv);
-  dqsched::bench::RunSlowOneRelationBench(
-      "F", "Figure 7 (one slowed-down relation experiments, F)", options);
-  return 0;
+  return dqsched::bench::RunExperiment("bench_fig7_slow_f", argc, argv);
 }

@@ -1,66 +1,8 @@
-// Reproduces paper Figure 8: performance gain of DSE over SEQ as a
-// function of w_min — the mean inter-tuple delay applied to EVERY wrapper
-// simultaneously (Section 5.3). Low w_min models fast networks (little to
-// gain), high w_min slow networks (gain approaches the paper's ~70%).
-// The paper's 100 Mb/s operating point (~20 us) is marked.
+// Paper Figure 8: DSE's gain over SEQ as a function of w_min.
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv);
-  bench::PrintPreamble("DSE gain over SEQ vs w_min",
-                       "Figure 8 (several slowed-down input relations)",
-                       options);
-  const core::MediatorConfig config = bench::DefaultConfig(options);
-
-  const double w_values_us[] = {5,  10, 15, 20, 25, 30, 35,
-                                40, 50, 60, 80, 100, 120};
-  // Three independent cells per w_min point: SEQ, DSE, and the LWB.
-  std::vector<plan::QuerySetup> setups;
-  for (double w : w_values_us) {
-    setups.push_back(plan::PaperFigure5Query(options.scale, w));
-  }
-  std::vector<bench::MeasureCell> cells;
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse}) {
-      cells.push_back([&setup, &config, kind, &options] {
-        return bench::MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &config] {
-      bench::StrategyOutcome lwb;
-      lwb.ok = true;
-      lwb.seconds = bench::LwbSeconds(setup, config);
-      return lwb;
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"w_min (us)", "SEQ (s)", "DSE (s)", "LWB (s)",
-                      "DSE gain (%)", ""});
-  for (size_t i = 0; i < setups.size(); ++i) {
-    const double w = w_values_us[i];
-    const auto& seq = results[3 * i];
-    const auto& dse = results[3 * i + 1];
-    table.AddRow({TablePrinter::Num(w, 0), bench::Cell(seq),
-                  bench::Cell(dse), TablePrinter::Num(results[3 * i + 2].seconds),
-                  bench::GainCell(seq, dse),
-                  w == 20 ? "<- 100 Mb/s network (paper's w_min)" : ""});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape (paper Section 5.3): the gain rises with w_min\n"
-      "toward ~60-70%%; it shrinks toward zero on very fast networks where\n"
-      "chains stop being critical. Occasional non-monotonic dips reflect\n"
-      "the heuristic scheduler (the paper saw one at ~35 us).\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_fig8_wmin_sweep", argc, argv);
 }

@@ -1,62 +1,8 @@
-// Memory-limitation experiment (paper Section 4.2): the total memory
-// available for the query is swept downward until operands spill and the
-// DQO must split chains (the technique of the paper's [4]); below the
-// feasibility floor (one join's operand + hash index alone exceeding the
-// budget) execution is rejected rather than thrashing.
+// The memory-limitation sweep (paper Section 4.2).
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.3);
-  bench::PrintPreamble("Memory-limitation sweep",
-                       "Section 4.2 (handling memory limitations)", options);
-
-  plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-
-  const double budgets_mb[] = {1, 2, 3, 4, 6, 8, 16, 32, 64};
-  std::vector<bench::MeasureCell> cells;
-  for (double mb : budgets_mb) {
-    core::MediatorConfig config = bench::DefaultConfig(options);
-    config.memory_budget_bytes = static_cast<int64_t>(mb * 1024 * 1024);
-    cells.push_back([&setup, config, &options] {
-      return bench::MeasureStrategy(setup, config, core::StrategyKind::kDse,
-                                    options.repeats);
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"memory (MB)", "DSE (s)", "DQO splits",
-                      "operand spills", "peak (MB)", "disk pages W",
-                      "note"});
-  for (size_t i = 0; i < std::size(budgets_mb); ++i) {
-    const double mb = budgets_mb[i];
-    const auto& dse = results[i];
-    if (!dse.ok) {
-      table.AddRow({TablePrinter::Num(mb, 0), "-", "-", "-", "-", "-",
-                    "infeasible: " + dse.error});
-      continue;
-    }
-    table.AddRow(
-        {TablePrinter::Num(mb, 0), bench::Cell(dse),
-         std::to_string(dse.metrics.dqo_splits),
-         std::to_string(dse.metrics.operand_spills),
-         TablePrinter::Num(
-             static_cast<double>(dse.metrics.peak_memory_bytes) / 1048576.0,
-             1),
-         std::to_string(dse.metrics.disk.pages_written), ""});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: ample memory -> no splits, fastest; shrinking\n"
-      "memory -> spills and DQO splits add disk traffic and response time;\n"
-      "below the feasibility floor execution is cleanly rejected.\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_memory_limit", argc, argv);
 }

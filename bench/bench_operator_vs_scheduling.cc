@@ -1,87 +1,9 @@
-// Operator-level vs scheduling-level adaptation (paper Section 1.1): the
-// double-pipelined hash join (DPHJ, refs [8,16]) absorbs delivery delays
-// inside the join operator itself; DSE absorbs them by scheduling. This
-// bench compares both (and SEQ) across delay shapes, with the memory
-// price of each — the paper's reasons for choosing the scheduling level
-// were DPHJ's restriction to hash-based plans and its memory appetite.
+// Operator-level (DPHJ) vs scheduling-level (DSE) adaptation (1.1).
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.3);
-  bench::PrintPreamble("Operator-level (DPHJ) vs scheduling-level (DSE)",
-                       "Section 1.1 (levels of dynamic adaptation)",
-                       options);
-  const core::MediatorConfig config = bench::DefaultConfig(options);
-
-  struct Case {
-    const char* label;
-    wrapper::DelayKind kind;
-    double param;
-  };
-  const Case cases[] = {
-      {"baseline (w_min)", wrapper::DelayKind::kUniform, 0},
-      {"initial delay on A (+2 s)", wrapper::DelayKind::kInitial, 2000.0},
-      {"bursty A (1000 x 50 ms)", wrapper::DelayKind::kBursty, 50.0},
-      {"slow A (4x)", wrapper::DelayKind::kSlow, 4.0},
-  };
-
-  std::vector<plan::QuerySetup> setups;
-  for (const Case& c : cases) {
-    plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-    wrapper::DelayConfig& delay = setup.catalog.sources[0].delay;
-    delay.kind = c.kind;
-    delay.initial_delay_ms = c.param;
-    delay.burst_length = 1000;
-    delay.burst_gap_ms = c.param;
-    delay.slow_factor = c.kind == wrapper::DelayKind::kSlow ? c.param : 1.0;
-    setups.push_back(std::move(setup));
-  }
-  std::vector<bench::MeasureCell> cells;
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse}) {
-      cells.push_back([&setup, &config, kind, &options] {
-        return bench::MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &config, &options] {
-      return bench::MeasureDphj(setup, config, options.repeats);
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"delay", "SEQ (s)", "DSE (s)", "DPHJ (s)",
-                      "DSE peak (MB)", "DPHJ peak (MB)"});
-  for (size_t i = 0; i < std::size(cases); ++i) {
-    const auto& seq = results[3 * i];
-    const auto& dse = results[3 * i + 1];
-    const auto& dphj = results[3 * i + 2];
-    table.AddRow(
-        {cases[i].label, bench::Cell(seq), bench::Cell(dse),
-         bench::Cell(dphj),
-         TablePrinter::Num(
-             static_cast<double>(dse.metrics.peak_memory_bytes) / 1048576.0,
-             1),
-         dphj.ok ? TablePrinter::Num(
-                       static_cast<double>(dphj.metrics.peak_memory_bytes) /
-                           1048576.0,
-                       1)
-                 : "-"});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: both adaptive strategies beat SEQ under delays;\n"
-      "DPHJ holds BOTH sides of every join resident (roughly 2x+ the\n"
-      "memory), and only exists for hash-based plans — the paper's case\n"
-      "for adapting at the scheduling level instead.\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_operator_vs_scheduling", argc,
+                                       argv);
 }

@@ -1,131 +1,8 @@
-// DSE vs query scrambling (the paper's Section 1.2 comparison, made
-// measurable). Two tables:
-//  1. the three delay classes of [2] under SEQ / SCR / DSE — scrambling
-//     reacts to initial and (long) bursty gaps but is blind to slow
-//     delivery, DSE handles all three (paper Sections 1.3, 5.4);
-//  2. the timeout-tuning problem: SCR's response under a slowed source as
-//     the timeout sweeps from hair-trigger to never-fires.
+// DSE vs query scrambling (paper Section 1.2) and its timeout knob.
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/0.3);
-  bench::PrintPreamble("DSE vs query scrambling (phase 1)",
-                       "Sections 1.2/1.3/5.4 (comparison with scrambling)",
-                       options);
-  const core::MediatorConfig config = bench::DefaultConfig(options);
-
-  struct Case {
-    const char* label;
-    wrapper::DelayConfig delay;
-  };
-  std::vector<Case> cases;
-  {
-    Case c{"initial delay on A (+2 s)", {}};
-    c.delay.kind = wrapper::DelayKind::kInitial;
-    c.delay.initial_delay_ms = 2000.0;
-    cases.push_back(c);
-  }
-  {
-    Case c{"bursty A (1000-tuple bursts, 200 ms gaps)", {}};
-    c.delay.kind = wrapper::DelayKind::kBursty;
-    c.delay.burst_length = 1000;
-    c.delay.burst_gap_ms = 200.0;
-    cases.push_back(c);
-  }
-  {
-    Case c{"slow delivery A (6x w_min)", {}};
-    c.delay.kind = wrapper::DelayKind::kSlow;
-    c.delay.slow_factor = 6.0;
-    cases.push_back(c);
-  }
-
-  std::vector<plan::QuerySetup> setups;
-  for (const Case& c : cases) {
-    plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-    setup.catalog.sources[0].delay = c.delay;
-    setups.push_back(std::move(setup));
-  }
-  std::vector<bench::MeasureCell> cells;
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse}) {
-      cells.push_back([&setup, &config, kind, &options] {
-        return bench::MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &config, &options] {
-      return bench::MeasureScrambling(setup, config, Milliseconds(20),
-                                      options.repeats);
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"delay type of A", "SEQ (s)", "SCR (s)",
-                      "SCR steps", "DSE (s)"});
-  for (size_t i = 0; i < cases.size(); ++i) {
-    const auto& seq = results[3 * i];
-    const auto& dse = results[3 * i + 1];
-    const auto& scr = results[3 * i + 2];
-    table.AddRow({cases[i].label, bench::Cell(seq),
-                  scr.ok ? TablePrinter::Num(scr.seconds) : "FAIL",
-                  scr.ok ? std::to_string(scr.metrics.timeouts) : "-",
-                  bench::Cell(dse)});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: SCR ~ DSE on initial delays (its home turf), SCR\n"
-      "~ SEQ on slow delivery (no gap ever trips the timeout; 0 steps),\n"
-      "DSE good everywhere (paper Section 5.4).\n\n");
-
-  // Table 2: the timeout knob.
-  std::printf("-- timeout sensitivity (A slowed 6x) --\n");
-  plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-  setup.catalog.sources[0].delay.kind = wrapper::DelayKind::kBursty;
-  setup.catalog.sources[0].delay.burst_length = 500;
-  setup.catalog.sources[0].delay.burst_gap_ms = 120.0;
-  const double timeouts_ms[] = {1.0, 5.0, 20.0, 60.0, 150.0, 1000.0};
-  std::vector<bench::MeasureCell> sweep_cells;
-  for (double ms : timeouts_ms) {
-    sweep_cells.push_back([&setup, &config, ms, &options] {
-      return bench::MeasureScrambling(setup, config, Milliseconds(ms),
-                                      options.repeats);
-    });
-  }
-  const auto sweep_results = bench::RunCells(options, sweep_cells);
-
-  TablePrinter sweep({"SCR timeout (ms)", "response (s)", "scrambling steps",
-                      "materializations"});
-  for (size_t i = 0; i < std::size(timeouts_ms); ++i) {
-    const double ms = timeouts_ms[i];
-    const auto& scr = sweep_results[i];
-    if (!scr.ok) {
-      sweep.AddRow({TablePrinter::Num(ms, 0), "FAIL", "-", "-"});
-      continue;
-    }
-    sweep.AddRow({TablePrinter::Num(ms, 0), TablePrinter::Num(scr.seconds),
-                  std::to_string(scr.metrics.timeouts),
-                  std::to_string(scr.metrics.degradations)});
-  }
-  if (options.csv) {
-    sweep.PrintCsv(stdout);
-  } else {
-    sweep.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: too large a timeout never reacts and collapses\n"
-      "toward SEQ; small timeouts trigger orders of magnitude more\n"
-      "scrambling steps for the same outcome (pure overhead in a real\n"
-      "engine, where every step re-plans). The workable setting depends on\n"
-      "the burst gap, unknown in advance — the configuration difficulty\n"
-      "the paper cites (Section 1.2).\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_scrambling", argc, argv);
 }

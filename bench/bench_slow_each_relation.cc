@@ -1,90 +1,8 @@
-// Reproduces the sweep described in paper Section 5.2's text: "We perform
-// this experiment slowing down successively each input relation of the QEP
-// to observe the influence of the position of the slowed-down relation".
-// Each relation in turn is slowed 5x while the others stay at w_min.
+// Paper Section 5.2's text: each input relation in turn slowed 5x.
+// Declared in experiments.cc.
 
-#include <cstdio>
-
-#include "bench_common.h"
-#include "common/table_printer.h"
+#include "experiments.h"
 
 int main(int argc, char** argv) {
-  using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv);
-  bench::PrintPreamble(
-      "Slowing down each input relation in turn (5x w_min)",
-      "Section 5.2 text (position of the slowed-down relation)", options);
-  const core::MediatorConfig config = bench::DefaultConfig(options);
-
-  const char* names[] = {"A", "B", "C", "D", "E", "F"};
-  std::vector<plan::QuerySetup> setups;
-  std::vector<SourceId> slowed_ids;
-  std::vector<int> dependents_count;
-  for (const char* name : names) {
-    plan::QuerySetup setup = plan::PaperFigure5Query(options.scale);
-    const SourceId slowed = setup.catalog.Find(name);
-    setup.catalog.source(slowed).delay.mean_us *= 5.0;
-
-    // How much of the plan the slowed chain gates (diagnostic column).
-    auto compiled = plan::Compile(setup.plan, setup.catalog);
-    int dependents = 0;
-    if (compiled.ok()) {
-      ChainId slowed_chain = kInvalidId;
-      for (const auto& chain : compiled->chains) {
-        if (chain.source == slowed) slowed_chain = chain.id;
-      }
-      for (const auto& chain : compiled->chains) {
-        for (ChainId a : compiled->AncestorsOf(chain.id)) {
-          if (a == slowed_chain) ++dependents;
-        }
-      }
-    }
-    slowed_ids.push_back(slowed);
-    dependents_count.push_back(dependents);
-    setups.push_back(std::move(setup));
-  }
-
-  std::vector<bench::MeasureCell> cells;
-  for (const plan::QuerySetup& setup : setups) {
-    for (core::StrategyKind kind :
-         {core::StrategyKind::kSeq, core::StrategyKind::kDse,
-          core::StrategyKind::kMa}) {
-      cells.push_back([&setup, &config, kind, &options] {
-        return bench::MeasureStrategy(setup, config, kind, options.repeats);
-      });
-    }
-    cells.push_back([&setup, &config] {
-      bench::StrategyOutcome lwb;
-      lwb.ok = true;
-      lwb.seconds = bench::LwbSeconds(setup, config);
-      return lwb;
-    });
-  }
-  const auto results = bench::RunCells(options, cells);
-
-  TablePrinter table({"slowed", "cardinality", "blocks (transitively)",
-                      "SEQ (s)", "DSE (s)", "MA (s)", "LWB (s)",
-                      "DSE gain (%)"});
-  for (size_t i = 0; i < setups.size(); ++i) {
-    const auto& seq = results[4 * i];
-    const auto& dse = results[4 * i + 1];
-    const auto& ma = results[4 * i + 2];
-    table.AddRow(
-        {names[i],
-         std::to_string(
-             setups[i].catalog.source(slowed_ids[i]).relation.cardinality),
-         std::to_string(dependents_count[i]), bench::Cell(seq),
-         bench::Cell(dse), bench::Cell(ma),
-         TablePrinter::Num(results[4 * i + 3].seconds),
-         bench::GainCell(seq, dse)});
-  }
-  if (options.csv) {
-    table.PrintCsv(stdout);
-  } else {
-    table.Print(stdout);
-  }
-  std::printf(
-      "\nExpected shape: the gain is larger when the slowed relation gates\n"
-      "less downstream work (C blocks nothing; A gates half the plan).\n");
-  return 0;
+  return dqsched::bench::RunExperiment("bench_slow_each_relation", argc, argv);
 }

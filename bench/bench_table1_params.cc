@@ -11,7 +11,8 @@
 
 int main(int argc, char** argv) {
   using namespace dqsched;
-  const auto options = bench::ParseOptions(argc, argv);
+  const auto options = bench::ParseOptions(argc, argv, /*default_scale=*/1.0,
+                                           bench::TableFlags());
   bench::PrintPreamble("Simulation parameters",
                        "Table 1 (simulation parameters)", options);
   const sim::CostModel cm;

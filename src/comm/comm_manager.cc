@@ -245,7 +245,6 @@ bool CommManager::RateChangedSincePlan(SimTime now) {
                  fired, ScanRateChangeSource(now));
   if (fired == kInvalidId) return false;
   last_signal_ = now;
-  last_signal_source_ = fired;
   ++rate_change_signals_;
   return true;
 }

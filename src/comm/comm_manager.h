@@ -162,10 +162,6 @@ class CommManager {
 
   int64_t rate_change_signals() const { return rate_change_signals_; }
 
-  /// The source whose estimate triggered the most recent true verdict of
-  /// RateChangedSincePlan (kInvalidId before any signal).
-  SourceId LastRateChangeSource() const { return last_signal_source_; }
-
   /// Per-source delivery version: bumped whenever anything the scheduler's
   /// criticality function reads about `source` may have changed — pushes
   /// (which also advance the estimator and shrink the wrapper remainder),
@@ -375,7 +371,6 @@ class CommManager {
   /// start here: the registration snapshot holds the raw prior).
   SourceSet stale_snapshots_;
   SimTime last_signal_ = -1;
-  SourceId last_signal_source_ = kInvalidId;
   int64_t rate_change_signals_ = 0;
   /// See SourceVersion().
   std::vector<uint64_t> source_version_;
