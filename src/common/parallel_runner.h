@@ -9,10 +9,11 @@
 //
 // Threading contract (see DESIGN.md "Threading"): a Mediator / shard and
 // its ExecContext are confined to the task that created them — one
-// simulation per thread at a time, nothing shared between tasks. The
-// simulator has no global mutable state (RNG, clocks, metrics and trace
-// sinks all live inside the Mediator / ExecContext), so tasks need no
-// synchronization beyond the runner's own queues.
+// simulation per thread at a time, nothing shared between tasks. RNG,
+// clocks, metrics and trace sinks all live inside the Mediator /
+// ExecContext; the only process-wide state (the preparation memos, which
+// hand out immutable values, and the page pool) guards itself (DESIGN.md
+// §7), so tasks need no synchronization beyond the runner's own queues.
 // tests/parallel_runner_test.cc enforces this with a TSan-clean stress
 // test.
 

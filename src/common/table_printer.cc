@@ -46,10 +46,20 @@ void TablePrinter::Print(std::FILE* out) const {
   for (const auto& row : rows_) print_row(row);
 }
 
+std::string TablePrinter::CsvCell(const std::string& cell) {
+  if (cell.find_first_of(",\"\r\n") == std::string::npos) return cell;
+  std::string quoted = "\"";
+  for (char c : cell) {
+    if (c == '"') quoted += '"';
+    quoted += c;
+  }
+  return quoted + '"';
+}
+
 void TablePrinter::PrintCsv(std::FILE* out) const {
   auto print_row = [&](const std::vector<std::string>& row) {
     for (size_t c = 0; c < row.size(); ++c) {
-      std::fprintf(out, "%s%s", c == 0 ? "" : ",", row[c].c_str());
+      std::fprintf(out, "%s%s", c == 0 ? "" : ",", CsvCell(row[c]).c_str());
     }
     std::fprintf(out, "\n");
   };

@@ -31,7 +31,13 @@ class TablePrinter {
   void Print(std::FILE* out) const;
 
   /// Renders as comma-separated values (no alignment), for machine use.
+  /// Cells are quoted per RFC 4180 (see CsvCell).
   void PrintCsv(std::FILE* out) const;
+
+  /// A cell as a CSV field: one holding a comma, a double quote or a line
+  /// break is wrapped in double quotes, its inner quotes doubled; any
+  /// other cell is returned as is.
+  static std::string CsvCell(const std::string& cell);
 
   size_t row_count() const { return rows_.size(); }
 

@@ -7,6 +7,7 @@
 #define DQSCHED_CORE_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,9 @@ struct SeedPolicy {
 struct PreparedQuery {
   wrapper::Catalog catalog;
   plan::CompiledPlan compiled;
-  std::vector<storage::Relation> data;
+  /// Immutable and shared: every PrepareQuery of the same instance hands
+  /// out the same object while any holder keeps it (DESIGN.md §15.2).
+  std::shared_ptr<const std::vector<storage::Relation>> data;
   plan::ReferenceResult reference;
 
   /// The one answer check: `count` and `checksum` must equal the
@@ -106,14 +109,22 @@ struct PreparedQuery {
                      const std::string& what) const;
 };
 
-/// Validates the catalog, compiles and annotates `plan`, generates the
-/// data under `seeds`, and takes the reference answer from the
-/// process-wide memo. A catalog fault schedule needs the mediator's fault
-/// stream; under any other policy it is rejected.
+/// Validates the catalog, compiles and annotates `plan`, and takes the
+/// data generated under `seeds` and its reference answer from the
+/// process-wide memos (DESIGN.md §15.2). A catalog fault schedule needs
+/// the mediator's fault stream; under any other policy it is rejected.
 Result<PreparedQuery> PrepareQuery(wrapper::Catalog catalog,
                                    const plan::Plan& plan,
                                    const sim::CostModel& cost,
                                    const SeedPolicy& seeds);
+
+/// The sum of a `delay` source's first `cardinality` delay draws under
+/// `delay_seed`, in nanoseconds: its realized retrieval time, which makes
+/// the lower bound tight for one workload instance. Taken from a
+/// process-wide memo keyed on every DelayConfig field, the seed and the
+/// cardinality.
+double RealizedDelayTotalNs(const wrapper::DelayConfig& delay,
+                            uint64_t delay_seed, int64_t cardinality);
 
 /// Registers one SimWrapper per source of `query` at the end of `ctx`'s
 /// source space, seeded by `seeds`, with the static optimizer's w_min

@@ -484,7 +484,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
           wrapper::FaultSchedule schedule = wrapper::BuildStormSchedule(
               config_.storm, key, total_keys, now,
               ctx.comm.wrapper(src).MeanDelayNs(),
-              tpl.query.data[static_cast<size_t>(src - lo)].cardinality(),
+              (*tpl.query.data)[static_cast<size_t>(src - lo)].cardinality(),
               &rng);
           ctx.comm.InstallFaultSchedule(
               src, std::move(schedule),

@@ -3,12 +3,10 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "common/random.h"
 #include "core/dphj.h"
 #include "core/execution_state.h"
 #include "core/scrambling.h"
 #include "exec/exec_context.h"
-#include "wrapper/delay_model.h"
 
 namespace dqsched::core {
 
@@ -33,20 +31,15 @@ Result<Mediator> Mediator::Create(wrapper::Catalog catalog, plan::Plan plan,
       PrepareQuery(std::move(catalog), plan, config.cost, seeds);
   if (!query.ok()) return query.status();
 
-  // Replay each wrapper's delay draws: the realized retrieval totals make
-  // the lower bound tight for this exact workload instance.
+  // The realized retrieval totals make the lower bound tight for this
+  // exact workload instance.
   const wrapper::Catalog& cat = query->catalog;
   std::vector<double> realized;
   realized.reserve(static_cast<size_t>(cat.num_sources()));
   for (SourceId s = 0; s < cat.num_sources(); ++s) {
-    Rng rng(seeds.DelaySeed(s));
-    auto model = wrapper::MakeDelayModel(cat.source(s).delay);
-    double total = 0.0;
-    const int64_t n = cat.source(s).relation.cardinality;
-    for (int64_t i = 0; i < n; ++i) {
-      total += static_cast<double>(model->NextDelay(i, rng));
-    }
-    realized.push_back(total);
+    const wrapper::SourceSpec& spec = cat.source(s);
+    realized.push_back(RealizedDelayTotalNs(spec.delay, seeds.DelaySeed(s),
+                                            spec.relation.cardinality));
   }
 
   return Mediator(std::move(config), std::move(query.value()),

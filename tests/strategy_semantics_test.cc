@@ -281,5 +281,17 @@ TEST(TablePrinter, AlignsAndCounts) {
   EXPECT_EQ(TablePrinter::Num(1.23456, 2), "1.23");
 }
 
+// RFC 4180: only cells holding a comma, a double quote or a line break
+// are quoted (inner quotes doubled); every other cell prints as is.
+TEST(TablePrinter, CsvQuotesOnlyCellsThatNeedIt) {
+  EXPECT_EQ(TablePrinter::CsvCell("bursty (2000-tuple bursts, 100 ms gaps)"),
+            "\"bursty (2000-tuple bursts, 100 ms gaps)\"");
+  EXPECT_EQ(TablePrinter::CsvCell("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(TablePrinter::CsvCell("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(TablePrinter::CsvCell("retrieval=3.00s/SEQ (x; y)"),
+            "retrieval=3.00s/SEQ (x; y)");
+  EXPECT_EQ(TablePrinter::CsvCell(""), "");
+}
+
 }  // namespace
 }  // namespace dqsched::core
