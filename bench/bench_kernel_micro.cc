@@ -1,8 +1,7 @@
 // Micro-benchmarks (google-benchmark) isolating the operator kernels the
 // executor spins on: filter evaluation (tuple-at-a-time push_back vs
-// selection-vector refine), hash-join probes (per-tuple bucket scan vs
-// the two-pass vectorized count/expand pipeline), and the adaptive
-// FilterManager's permuted multi-term evaluation. Sweeps batch size,
+// selection-vector refine) and hash-join probes (per-tuple bucket scan vs
+// the two-pass vectorized count/expand pipeline). Sweeps batch size,
 // filter selectivity, and probe match fanout; bench_suite measures the
 // end-to-end effect, this binary isolates the kernels.
 
@@ -11,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/filter_manager.h"
 #include "exec/hash_index.h"
 #include "exec/tuple_id_list.h"
 #include "storage/tuple.h"
@@ -19,7 +17,6 @@
 namespace dqsched {
 namespace {
 
-using exec::FilterManager;
 using exec::HashIndex;
 using exec::TupleIdList;
 using storage::Tuple;
@@ -241,38 +238,6 @@ void BM_ProbeVectorized(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ProbeVectorized)->Apply(ProbeArgs);
-
-plan::ChainOp FilterTerm(int32_t node, double selectivity) {
-  plan::ChainOp op;
-  op.kind = plan::ChainOpKind::kFilter;
-  op.node = node;
-  op.selectivity = selectivity;
-  return op;
-}
-
-/// Multi-term filter run through the FilterManager: adaptive (permuted
-/// dense bitmaps with canonical charge recovery) vs canonical-order
-/// short-circuit, over a mix of cheap selective and permissive terms.
-void BM_FilterManagerRun(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  const bool adaptive = state.range(1) != 0;
-  const std::vector<Tuple> in = MakeBatch(batch, 42);
-  FilterManager manager(
-      {FilterTerm(11, 0.9), FilterTerm(12, 0.1), FilterTerm(13, 0.5)},
-      adaptive);
-  TupleIdList sel;
-  std::vector<int64_t> charges;
-  for (auto _ : state) {
-    sel.Resize(static_cast<uint32_t>(batch));
-    sel.AddAll();
-    charges.clear();
-    manager.Run(in.data(), &sel, &charges);
-    benchmark::DoNotOptimize(sel.Count());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_FilterManagerRun)
-    ->ArgsProduct({{2048, 8192}, {0, 1}});
 
 }  // namespace
 }  // namespace dqsched

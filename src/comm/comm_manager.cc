@@ -7,6 +7,24 @@
 
 namespace dqsched::comm {
 
+namespace {
+
+/// EWMA weight of every source's rate estimator.
+constexpr double kEstimatorAlpha = 0.02;
+/// A silent source is suspected down once its silence exceeds this
+/// multiple of its estimated inter-arrival wait ...
+constexpr double kSuspectWaitFactor = 64.0;
+/// ... but never sooner than this floor (early estimates can sit on an
+/// optimistic prior; see DESIGN.md §8).
+constexpr SimDuration kSuspectSilenceFloor = Milliseconds(50);
+/// A suspected source is declared dead once its silence exceeds this
+/// multiple of the estimated wait ...
+constexpr double kDeadWaitFactor = 256.0;
+/// ... with its own, much larger, floor.
+constexpr SimDuration kDeadSilenceFloor = Milliseconds(500);
+
+}  // namespace
+
 CommManager::CommManager(const CommConfig& config) : config_(config) {
   DQS_CHECK_MSG(config_.rate_change_ratio >= 1.0,
                 "rate_change_ratio must be >= 1 (got %g)",
@@ -22,7 +40,7 @@ void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
   wrappers_.push_back(std::move(w));
   queues_.push_back(std::make_unique<TupleQueue>(config_.queue_capacity));
   cursor_.push_back(0);
-  auto est = std::make_unique<RateEstimator>(config_.estimator_alpha);
+  auto est = std::make_unique<RateEstimator>(kEstimatorAlpha);
   est->SetPrior(prior_wait_ns);
   estimators_.push_back(std::move(est));
   snapshots_.push_back(PlanSnapshot{prior_wait_ns, 0});
@@ -356,14 +374,14 @@ int64_t CommManager::FreshDelivered(size_t i) const {
 
 SimDuration CommManager::SuspectTimeout(size_t i) const {
   const auto scaled = static_cast<SimDuration>(
-      config_.suspect_wait_factor * estimators_[i]->MeanInterArrivalNs());
-  return std::max(scaled, config_.suspect_silence_floor);
+      kSuspectWaitFactor * estimators_[i]->MeanInterArrivalNs());
+  return std::max(scaled, kSuspectSilenceFloor);
 }
 
 SimDuration CommManager::DeadTimeout(size_t i) const {
   const auto scaled = static_cast<SimDuration>(
-      config_.dead_wait_factor * estimators_[i]->MeanInterArrivalNs());
-  return std::max(scaled, config_.dead_silence_floor);
+      kDeadWaitFactor * estimators_[i]->MeanInterArrivalNs());
+  return std::max(scaled, kDeadSilenceFloor);
 }
 
 bool CommManager::WatchedForLiveness(size_t i) const {

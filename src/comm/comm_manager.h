@@ -42,8 +42,6 @@ struct CommConfig {
   /// Minimum virtual time between two RateChange signals (global),
   /// preventing replanning storms.
   SimDuration rate_change_cooldown = Milliseconds(50);
-  /// EWMA weight for the rate estimator.
-  double estimator_alpha = 0.02;
   /// Test-only: cap wrapper delivery runs at one tuple, forcing the
   /// per-tuple transport path. Observable behavior must be identical to
   /// bulk delivery (see tests/transport_determinism_test.cc).
@@ -55,17 +53,6 @@ struct CommConfig {
   /// code path is skipped, keeping fault-free runs bit-identical to
   /// builds that predate the fault layer.
   bool failure_detection = false;
-  /// A silent source is suspected down once its silence exceeds this
-  /// multiple of its estimated inter-arrival wait ...
-  double suspect_wait_factor = 64.0;
-  /// ... but never sooner than this floor (early estimates can sit on an
-  /// optimistic prior; see DESIGN.md §8).
-  SimDuration suspect_silence_floor = Milliseconds(50);
-  /// A suspected source is declared dead once its silence exceeds this
-  /// multiple of the estimated wait ...
-  double dead_wait_factor = 256.0;
-  /// ... with its own, much larger, floor.
-  SimDuration dead_silence_floor = Milliseconds(500);
 };
 
 /// Consecutive tuples of one source's relation, read in place: what one

@@ -4,8 +4,8 @@
 // `ExecutionMetrics` field to be byte-identical across `--jobs`,
 // strategies, and scalar-vs-vectorized kernels. Host wall-clock reads are
 // therefore *advisory only*: they may feed `*_host_seconds` reporting
-// fields and adaptive rank orders (FilterManager's EWMAs), but never a
-// simulated charge, a scheduling decision input, or anything checksummed.
+// fields, but never a simulated charge, a scheduling decision input, or
+// anything checksummed.
 // `tools/dqs_analyze.py` (rule `wall-clock`) bans every other wall-clock
 // read in src/ — `std::chrono::{steady,system,high_resolution}_clock`,
 // `time()`, `clock()`, `gettimeofday` — so that new timing sites are
@@ -15,7 +15,6 @@
 #define DQSCHED_COMMON_HOST_CLOCK_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace dqsched {
 
@@ -31,13 +30,6 @@ class HostClock {
   /// Seconds elapsed since `start`, as a double (reporting granularity).
   static double SecondsSince(TimePoint start) {
     return std::chrono::duration<double>(Now() - start).count();
-  }
-
-  /// Nanoseconds elapsed since `start` (adaptive-cost granularity).
-  static int64_t NanosSince(TimePoint start) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Now() -
-                                                                start)
-        .count();
   }
 };
 

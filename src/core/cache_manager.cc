@@ -142,14 +142,14 @@ bool CacheManager::EnsureHeadroom(int64_t bytes) {
 
 bool CacheManager::LookupResult(const plan::CompiledPlan& compiled,
                                 int64_t* count, uint64_t* checksum) {
-  if (!config_.enabled || !config_.cache_results) return false;
+  if (!config_.enabled) return false;
   return cache_.LookupResult(QueryFingerprint(compiled),
                              QueryVersionHash(compiled), count, checksum);
 }
 
 void CacheManager::TrySegmentHits(ExecutionState& state,
                                   exec::ExecContext& ctx) {
-  if (!config_.enabled || !config_.cache_segments) return;
+  if (!config_.enabled) return;
   const plan::CompiledPlan& compiled = state.compiled();
   for (ChainId c = 0; c < compiled.num_chains(); ++c) {
     if (state.CacheProbed(c)) continue;
@@ -191,29 +191,27 @@ void CacheManager::AdmitQuery(const ExecutionState& state,
   if (!config_.enabled) return;
   if (state.cancelled()) return;  // cancelled segments never enter
   const plan::CompiledPlan& compiled = state.compiled();
-  if (config_.cache_segments) {
-    for (ChainId c = 0; c < compiled.num_chains(); ++c) {
-      if (!state.MfComplete(c)) continue;
-      const SourceId src = compiled.chain(c).source;
-      // A closed/abandoned source means the MF's "end of stream" was the
-      // abandonment, not the real end — the prefix is partial.
-      if (ctx.comm.SourceClosed(src)) continue;
-      const TempId temp = state.MfTemp(c);
-      if (ctx.temps.IsDropped(temp) || !ctx.temps.IsSealed(temp)) continue;
-      const int64_t need =
-          storage::ResultCache::SegmentBytes(ctx.temps.Cardinality(temp));
-      if (!EnsureHeadroom(need)) continue;
-      // The query is finished, so nothing reads the MF temp again: its
-      // pages move into the cache (the temp reads as dropped).
-      const int64_t admitted = cache_.InsertSegment(
-          SegmentFingerprint(compiled, c), SegmentVersionHash(src),
-          ctx.temps.TakeTuples(temp));
-      if (admitted > 0 && accountant_ != nullptr) {
-        accountant_->GrantReclaimable(admitted);
-      }
+  for (ChainId c = 0; c < compiled.num_chains(); ++c) {
+    if (!state.MfComplete(c)) continue;
+    const SourceId src = compiled.chain(c).source;
+    // A closed/abandoned source means the MF's "end of stream" was the
+    // abandonment, not the real end — the prefix is partial.
+    if (ctx.comm.SourceClosed(src)) continue;
+    const TempId temp = state.MfTemp(c);
+    if (ctx.temps.IsDropped(temp) || !ctx.temps.IsSealed(temp)) continue;
+    const int64_t need =
+        storage::ResultCache::SegmentBytes(ctx.temps.Cardinality(temp));
+    if (!EnsureHeadroom(need)) continue;
+    // The query is finished, so nothing reads the MF temp again: its
+    // pages move into the cache (the temp reads as dropped).
+    const int64_t admitted = cache_.InsertSegment(
+        SegmentFingerprint(compiled, c), SegmentVersionHash(src),
+        ctx.temps.TakeTuples(temp));
+    if (admitted > 0 && accountant_ != nullptr) {
+      accountant_->GrantReclaimable(admitted);
     }
   }
-  if (config_.cache_results && result_complete) {
+  if (result_complete) {
     if (!EnsureHeadroom(storage::ResultCache::SegmentBytes(0))) return;
     const int64_t admitted = cache_.InsertResult(
         QueryFingerprint(compiled), QueryVersionHash(compiled),

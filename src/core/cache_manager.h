@@ -48,16 +48,14 @@ class ExecutionState;
 
 /// Cache knobs, carried by EngineConfig (core/engine.h).
 struct CacheConfig {
-  /// Master switch; everything below is ignored when false.
+  /// Master switch. On, the cache keeps final result digests (count +
+  /// checksum, served at join time) and completed MF segments (served at
+  /// plan time by chain rebinding); off, the budget is ignored.
   bool enabled = false;
   /// LRU byte budget of one shard's cache. The effective ceiling is the
   /// minimum of this and the accountant's headroom — live queries always
   /// win the shared budget.
   int64_t budget_bytes = 64ll << 20;
-  /// Cache final result digests (count + checksum), served at join time.
-  bool cache_results = true;
-  /// Cache completed MF segments, served at plan time by chain rebinding.
-  bool cache_segments = true;
 };
 
 /// Per-shard cache policy: fingerprinting, version guarding, accountant

@@ -204,6 +204,9 @@ Status EngineConfig::Validate() const {
   if (strategy.dqp.batch_size <= 0) {
     return Status::InvalidArgument("batch size must be > 0");
   }
+  if (comm.queue_capacity <= 0) {
+    return Status::InvalidArgument("queue capacity must be > 0");
+  }
   // Below 1 a fresh planning snapshot could already signal a change.
   if (!(comm.rate_change_ratio >= 1.0)) {
     return Status::InvalidArgument("rate change ratio must be >= 1");

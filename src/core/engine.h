@@ -22,8 +22,9 @@
 
 namespace dqsched::core {
 
-/// The configuration every driver shares; MediatorConfig, MultiQueryConfig
-/// and FleetConfig derive from it and add only their own fields.
+/// The configuration every driver shares; MediatorConfig and FleetConfig
+/// derive from it and add only their own fields, and MultiQueryConfig is
+/// this struct itself.
 struct EngineConfig {
   /// Simulation cost parameters (paper Table 1 defaults).
   sim::CostModel cost;

@@ -23,6 +23,9 @@ namespace {
 /// Salt of the retry-backoff jitter stream: dedicated, so arming retries
 /// perturbs no data/delay/fault draw anywhere else (DESIGN.md §13).
 constexpr uint64_t kFleetRetrySalt = 0x8bb84b93962eacc9ULL;
+/// A requeue's backoff is scaled by a jitter drawn uniformly from
+/// [1 - kFleetRetryJitter, 1 + kFleetRetryJitter].
+constexpr double kFleetRetryJitter = 0.25;
 
 /// Admission estimate of one compiled template: the annotated hard +
 /// spillable memory of every chain, never below one byte (the broker
@@ -52,19 +55,16 @@ Result<FleetExecutor> FleetExecutor::Create(
   if (workload.empty()) {
     return Status::InvalidArgument("empty fleet workload");
   }
-  if (config.num_shards <= 0 || config.sync_turns <= 0 ||
-      config.slice_batches <= 0) {
-    return Status::InvalidArgument("shards, sync turns and slice must be > 0");
+  if (config.num_shards <= 0 || config.sync_turns <= 0) {
+    return Status::InvalidArgument("shards and sync turns must be > 0");
   }
   DQS_RETURN_IF_ERROR(config.storm.Validate());
   if (config.max_attempts < 1) {
     return Status::InvalidArgument("fleet max_attempts must be >= 1");
   }
-  if (config.deadline_budget < 0 || config.retry_backoff_initial <= 0 ||
-      config.retry_jitter < 0 || config.retry_jitter >= 1.0) {
+  if (config.deadline_budget < 0 || config.retry_backoff_initial <= 0) {
     return Status::InvalidArgument(
-        "fleet lifecycle: deadline budget >= 0, backoff > 0, jitter in "
-        "[0, 1)");
+        "fleet lifecycle: deadline budget >= 0, backoff > 0");
   }
 
   std::vector<PreparedTemplate> prepared;
@@ -266,7 +266,6 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     SharedQueryLoop::Options loop_options;
     loop_options.strategy = strategy;
     loop_options.config = config_.strategy;
-    loop_options.slice_batches = config_.slice_batches;
     loop_options.surface_lifecycle = lifecycle;
     loop_options.kernels = config_.kernels;
     loop_options.cache = shard_cache;
@@ -368,7 +367,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
                         static_cast<uint64_t>(uid),
                         static_cast<uint64_t>(ls.attempts)));
         const double scale =
-            1.0 + config_.retry_jitter * (2.0 * rng.NextDouble() - 1.0);
+            1.0 + kFleetRetryJitter * (2.0 * rng.NextDouble() - 1.0);
         const SimDuration backoff = static_cast<SimDuration>(std::ceil(
             static_cast<double>(config_.retry_backoff_initial) *
             std::ldexp(1.0, ls.attempts - 1) * scale));

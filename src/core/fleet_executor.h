@@ -64,8 +64,6 @@ struct FleetQuerySpec {
 struct FleetConfig : EngineConfig {
   /// Fixed shard count (NOT the thread count — see the header comment).
   int num_shards = 4;
-  /// Batches one query executes before yielding within a shard's loop.
-  int64_t slice_batches = 32;
   /// Loop turns a shard advances per round between broker barriers.
   int64_t sync_turns = 1024;
 
@@ -84,10 +82,9 @@ struct FleetConfig : EngineConfig {
   int max_attempts = 3;
   /// Base of the exponential requeue backoff: attempt k (1-based) that
   /// fails is requeued at now + initial * 2^(k-1), scaled by a
-  /// deterministic jitter in [1-retry_jitter, 1+retry_jitter] drawn from
+  /// deterministic jitter in [0.75, 1.25] (kFleetRetryJitter) drawn from
   /// the dedicated retry stream (kFleetRetrySalt).
   SimDuration retry_backoff_initial = Milliseconds(50);
-  double retry_jitter = 0.25;
   /// Per-logical-source circuit breakers, shared by every query instance
   /// on a shard that reads the same template source.
   BreakerConfig breaker;

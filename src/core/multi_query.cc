@@ -29,9 +29,6 @@ Result<MultiQueryMediator> MultiQueryMediator::Create(
   if (setups.empty()) {
     return Status::InvalidArgument("no queries in the mix");
   }
-  if (config.slice_batches <= 0) {
-    return Status::InvalidArgument("slice must be > 0");
-  }
 
   std::vector<PreparedQuery> prepared;
   SourceId offset = 0;
@@ -153,7 +150,6 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   SharedQueryLoop::Options loop_options;
   loop_options.strategy = strategy;
   loop_options.config = config_.strategy;
-  loop_options.slice_batches = config_.slice_batches;
   loop_options.kernels = config_.kernels;
   loop_options.cache = cache;
   SharedQueryLoop loop(&ctx, loop_options);

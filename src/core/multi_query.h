@@ -38,11 +38,8 @@ enum class MultiMode {
 
 const char* MultiModeName(MultiMode mode);
 
-/// Configuration of a multi-query mediator.
-struct MultiQueryConfig : EngineConfig {
-  /// Batches one query executes before yielding to the next (kShared).
-  int64_t slice_batches = 32;
-};
+/// Configuration of a multi-query mediator: the shared config alone.
+using MultiQueryConfig = EngineConfig;
 
 /// Results of one multi-query execution.
 struct MultiQueryMetrics {

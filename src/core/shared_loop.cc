@@ -8,11 +8,18 @@
 
 namespace dqsched::core {
 
+namespace {
+
+/// Batches one query executes before yielding to the next: the time slice
+/// of every shared loop (the multi-query shared mode and each fleet shard).
+constexpr int64_t kSliceBatches = 32;
+
+}  // namespace
+
 SharedQueryLoop::SharedQueryLoop(exec::ExecContext* ctx, Options options)
     : ctx_(ctx), options_(std::move(options)) {
   DQS_CHECK(ctx_ != nullptr);
   DQS_CHECK(options_.strategy != StrategyKind::kMa);
-  DQS_CHECK(options_.slice_batches > 0);
 }
 
 int SharedQueryLoop::AddQuery(const SharedQueryDesc& desc) {
@@ -31,7 +38,7 @@ int SharedQueryLoop::AddQuery(const SharedQueryDesc& desc) {
       std::make_unique<ExecutionState>(desc.compiled, ctx_, exec_options);
   run->dqs = std::make_unique<Dqs>(options_.config.dqs);
   DqpConfig dqp_config = options_.config.dqp;
-  dqp_config.slice_batches = options_.slice_batches;
+  dqp_config.slice_batches = kSliceBatches;
   dqp_config.yield_on_starvation = true;
   dqp_config.deadline = desc.deadline;
   run->dqp = std::make_unique<Dqp>(dqp_config);

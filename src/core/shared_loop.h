@@ -69,11 +69,9 @@ class SharedQueryLoop {
  public:
   struct Options {
     StrategyKind strategy = StrategyKind::kDse;
-    /// Per-query DQS/DQP tunables; the loop forces slice_batches and
+    /// Per-query DQS/DQP tunables; the loop forces kSliceBatches and
     /// yield_on_starvation onto every query's DqpConfig.
     StrategyConfig config;
-    /// Batches one query executes before yielding to the next.
-    int64_t slice_batches = 32;
     /// Surface lifecycle events (deadline expiry, source suspicion /
     /// death / recovery) as Turn kinds for the caller's lifecycle manager
     /// instead of failing the whole loop (the pre-§13 behaviour, kept as

@@ -220,19 +220,6 @@ constexpr uint32_t kProbePrefetchDistance = 8;
 
 }  // namespace
 
-FilterManager& FragmentRuntime::FilterRunAt(size_t start, size_t len) {
-  if (filter_runs_.empty()) filter_runs_.resize(spec_.ops.size());
-  std::unique_ptr<FilterManager>& slot = filter_runs_[start];
-  if (!slot) {
-    std::vector<plan::ChainOp> terms(
-        spec_.ops.begin() + static_cast<ptrdiff_t>(start),
-        spec_.ops.begin() + static_cast<ptrdiff_t>(start + len));
-    slot = std::make_unique<FilterManager>(std::move(terms),
-                                           spec_.kernels.adaptive_filters);
-  }
-  return *slot;
-}
-
 // Batch-at-a-time kernels. Filters refine a selection vector in place
 // (no intermediate materialization); probes run as a vectorized
 // hash+count pass followed by an expansion pass into a pre-sized buffer;
@@ -261,24 +248,15 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
 
   const size_t first_op =
       pop.from_temp ? static_cast<size_t>(spec_.temp_skip_ops) : 0;
-  size_t oi = first_op;
-  while (oi < spec_.ops.size()) {
+  for (size_t oi = first_op; oi < spec_.ops.size(); ++oi) {
     const plan::ChainOp& op = spec_.ops[oi];
     if (op.kind == plan::ChainOpKind::kFilter) {
-      // A run of consecutive filters shares one FilterManager; each term's
-      // canonical input count charges a move per tuple, exactly like the
-      // scalar kernels (fused or not).
-      size_t run_len = 1;
-      while (oi + run_len < spec_.ops.size() &&
-             spec_.ops[oi + run_len].kind == plan::ChainOpKind::kFilter) {
-        ++run_len;
-      }
-      scratch.filter_charges.clear();
-      FilterRunAt(oi, run_len).Run(cur, &sel, &scratch.filter_charges);
-      for (int64_t c : scratch.filter_charges) {
-        instr += c * ctx.cost->instr_move_tuple;
-      }
-      oi += run_len;
+      // Each filter charges a move per tuple entering it, exactly like the
+      // scalar kernels (fused or not), then refines the selection in place.
+      instr += static_cast<int64_t>(sel.Count()) * ctx.cost->instr_move_tuple;
+      sel.Refine([&](uint32_t id) {
+        return storage::FilterPasses(cur[id].rowid, op.node, op.selectivity);
+      });
       continue;
     }
 
@@ -356,7 +334,6 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
     sel.Resize(static_cast<uint32_t>(total_matches));
     sel.AddAll();
     std::swap(out, spare);
-    ++oi;
   }
 
   // Sink delivery. Trailing filters leave a partial selection; compact it

@@ -18,7 +18,6 @@
 #include "common/status.h"
 #include "exec/chain_source.h"
 #include "exec/exec_context.h"
-#include "exec/filter_manager.h"
 #include "exec/kernel_config.h"
 #include "exec/operand.h"
 #include "plan/compiled_plan.h"
@@ -49,7 +48,7 @@ struct FragmentSpec {
   ChainId origin_chain = kInvalidId;
   /// Asynchronous disk I/O for this fragment's temp writes/reads.
   bool async_io = true;
-  /// Operator kernel selection (vectorized vs scalar, filter adaptivity).
+  /// Operator kernel selection (vectorized vs scalar).
   KernelConfig kernels;
 };
 
@@ -145,10 +144,6 @@ class FragmentRuntime {
   /// bulk sink delivery. Simulated charges are byte-identical to scalar.
   Result<int64_t> ProcessBatchVectorized(ExecContext& ctx,
                                          const ChainSource::PopResult& pop);
-  /// The FilterManager for the run of `len` consecutive filter ops
-  /// starting at ops[start]; created on first use, persistent across
-  /// batches so its selectivity/cost observations accumulate.
-  FilterManager& FilterRunAt(size_t start, size_t len);
 
   FragmentSpec spec_;
   std::unique_ptr<ChainSource> source_;
@@ -157,8 +152,6 @@ class FragmentRuntime {
   bool opened_ = false;
   bool closed_ = false;
   FragmentStats stats_;
-  /// One FilterManager per filter-run start index (lazily created).
-  std::vector<std::unique_ptr<FilterManager>> filter_runs_;
 };
 
 }  // namespace dqsched::exec

@@ -65,7 +65,6 @@ struct KernelScratch {
   std::vector<int64_t> probe_keys;
   std::vector<uint64_t> probe_pos;  // a probe's bucket, then first match
   std::vector<uint32_t> match_counts;
-  std::vector<int64_t> filter_charges;
 };
 
 /// Everything one execution needs, wired together.

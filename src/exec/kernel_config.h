@@ -14,9 +14,6 @@ struct KernelConfig {
   /// Tuple-at-a-time reference kernels (the pre-vectorization executor,
   /// kept as the equivalence oracle and for A/B benchmarking).
   bool scalar = false;
-  /// Allow the FilterManager to permute multi-term filter runs by observed
-  /// selectivity×cost. Off forces canonical-order evaluation.
-  bool adaptive_filters = true;
 };
 
 }  // namespace dqsched::exec

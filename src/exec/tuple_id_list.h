@@ -3,12 +3,12 @@
 // A TupleIdList marks which tuples of a batch are still alive after a
 // filter, as a bit vector of one bit per input position. Operators refine
 // the list in place instead of materializing intermediate tuple buffers;
-// only the sink (or a probe's expansion pass) ever copies tuples. Two fast
-// paths matter: a *full* list (every bit set — the common case for
-// filterless chains) iterates densely without reading words, and a sparse
-// list skips whole zero words. Ids are always visited in ascending order,
-// which is what keeps vectorized output byte-identical to the scalar
-// kernels' tuple-at-a-time order.
+// only the sink (or a probe's expansion pass) ever copies tuples. Walks
+// visit set bits only and skip whole zero words; a *full* list (every bit
+// set — the common case for filterless chains) is skipped by the kernels
+// altogether, which test Full() and read the batch directly. Ids are always
+// visited in ascending order, which is what keeps vectorized output
+// byte-identical to the scalar kernels' tuple-at-a-time order.
 
 #ifndef DQSCHED_EXEC_TUPLE_ID_LIST_H_
 #define DQSCHED_EXEC_TUPLE_ID_LIST_H_
@@ -71,65 +71,26 @@ class TupleIdList {
     return (words_[id / kBitsPerWord] >> (id % kBitsPerWord)) & 1;
   }
 
-  /// Keeps only ids where `pred(id)` holds. A full list refines densely
-  /// (no bit reads); a partial list walks set bits, skipping zero words.
+  /// Keeps only ids where `pred(id)` holds: walks the set bits in
+  /// ascending order, skipping zero words.
   template <typename Pred>
   void Refine(Pred&& pred) {
     const size_t words = NumWords();
     uint32_t count = 0;
-    if (Full()) {
-      for (size_t w = 0; w < words; ++w) {
-        Word in = words_[w];
-        Word out = 0;
-        const uint32_t base = static_cast<uint32_t>(w) * kBitsPerWord;
-        while (in != 0) {
-          const uint32_t bit = CountTrailingZeros(in);
-          in &= in - 1;
-          if (pred(base + bit)) out |= Word{1} << bit;
-        }
-        words_[w] = out;
-        count += PopCount(out);
-      }
-    } else {
-      for (size_t w = 0; w < words; ++w) {
-        Word in = words_[w];
-        if (in == 0) continue;
-        Word out = 0;
-        const uint32_t base = static_cast<uint32_t>(w) * kBitsPerWord;
-        while (in != 0) {
-          const uint32_t bit = CountTrailingZeros(in);
-          in &= in - 1;
-          if (pred(base + bit)) out |= Word{1} << bit;
-        }
-        words_[w] = out;
-        count += PopCount(out);
-      }
-    }
-    count_ = count;
-  }
-
-  /// Intersects with `other` (same capacity required).
-  void IntersectWith(const TupleIdList& other) {
-    DQS_CHECK_MSG(capacity_ == other.capacity_,
-                  "intersect of mismatched lists (%u vs %u)", capacity_,
-                  other.capacity_);
-    const size_t words = NumWords();
-    uint32_t count = 0;
     for (size_t w = 0; w < words; ++w) {
-      words_[w] &= other.words_[w];
-      count += PopCount(words_[w]);
+      Word in = words_[w];
+      if (in == 0) continue;
+      Word out = 0;
+      const uint32_t base = static_cast<uint32_t>(w) * kBitsPerWord;
+      while (in != 0) {
+        const uint32_t bit = CountTrailingZeros(in);
+        in &= in - 1;
+        if (pred(base + bit)) out |= Word{1} << bit;
+      }
+      words_[w] = out;
+      count += PopCount(out);
     }
     count_ = count;
-  }
-
-  /// Copies `other`'s contents (capacities must match).
-  void AssignFrom(const TupleIdList& other) {
-    DQS_CHECK_MSG(capacity_ == other.capacity_,
-                  "assign from mismatched list (%u vs %u)", capacity_,
-                  other.capacity_);
-    std::copy(other.words_.begin(), other.words_.begin() + NumWords(),
-              words_.begin());
-    count_ = other.count_;
   }
 
   /// Invokes fn(id) for every selected id, ascending.
@@ -158,22 +119,12 @@ class TupleIdList {
   size_t NumWords() const {
     return (static_cast<size_t>(capacity_) + kBitsPerWord - 1) / kBitsPerWord;
   }
-  const Word* words() const { return words_.data(); }
-  Word* mutable_words() { return words_.data(); }
 
   static uint32_t PopCount(Word w) {
     return static_cast<uint32_t>(__builtin_popcountll(w));
   }
   static uint32_t CountTrailingZeros(Word w) {
     return static_cast<uint32_t>(__builtin_ctzll(w));
-  }
-
-  /// Recomputes count_ after direct word manipulation via mutable_words().
-  void RecountAfterWordEdit() {
-    const size_t words = NumWords();
-    uint32_t count = 0;
-    for (size_t w = 0; w < words; ++w) count += PopCount(words_[w]);
-    count_ = count;
   }
 
  private:

@@ -32,16 +32,20 @@ MultiQueryConfig SmallConfig() {
 
 TEST(MultiQuery, CreateValidates) {
   EXPECT_FALSE(MultiQueryMediator::Create({}, SmallConfig()).ok());
-  MultiQueryConfig bad = SmallConfig();
-  bad.slice_batches = 0;
-  EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
   // A zero batch size would spin the shared loop toward its livelock guard.
-  bad = SmallConfig();
+  MultiQueryConfig bad = SmallConfig();
   bad.strategy.dqp.batch_size = 0;
   EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
   bad = SmallConfig();
   bad.comm.rate_change_ratio = 0.5;
   EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
+  // A queue that holds nothing is refused, not left to abort TupleQueue.
+  bad = SmallConfig();
+  bad.comm.queue_capacity = 0;
+  Result<MultiQueryMediator> no_queue =
+      MultiQueryMediator::Create(MixOfTinyQueries(2), bad);
+  ASSERT_FALSE(no_queue.ok());
+  EXPECT_EQ(no_queue.status().code(), StatusCode::kInvalidArgument);
   // Catalog fault schedules are a single-query-mediator feature; the mix
   // must refuse one instead of running the source fault-free.
   std::vector<plan::QuerySetup> faulty = MixOfTinyQueries(2);

@@ -1,5 +1,5 @@
 // TupleIdList semantics: bit-vector correctness across word boundaries,
-// the full/partial fast-path transitions, and the ascending iteration
+// the full/partial/empty transitions, and the ascending iteration
 // order the kernels' determinism contract leans on.
 
 #include "exec/tuple_id_list.h"
@@ -126,31 +126,6 @@ TEST(TupleIdList, ForEachAndMaterializeAreAscending) {
   EXPECT_EQ(mat, want);
 }
 
-TEST(TupleIdList, IntersectWithRecomputesCount) {
-  TupleIdList a;
-  TupleIdList b;
-  a.Resize(128);
-  b.Resize(128);
-  a.AddAll();
-  for (uint32_t i = 0; i < 128; i += 2) b.Add(i);
-  a.IntersectWith(b);
-  EXPECT_EQ(a.Count(), 64u);
-  for (uint32_t i = 0; i < 128; ++i) EXPECT_EQ(a.Contains(i), i % 2 == 0);
-}
-
-TEST(TupleIdList, AssignFromCopiesContents) {
-  TupleIdList a;
-  TupleIdList b;
-  a.Resize(90);
-  b.Resize(90);
-  for (uint32_t i = 0; i < 90; i += 7) a.Add(i);
-  b.AssignFrom(a);
-  EXPECT_EQ(b.Count(), a.Count());
-  for (uint32_t i = 0; i < 90; ++i) {
-    EXPECT_EQ(b.Contains(i), a.Contains(i)) << i;
-  }
-}
-
 TEST(TupleIdList, ResizeReusesStorageAndClears) {
   TupleIdList list;
   list.Resize(256);
@@ -162,17 +137,6 @@ TEST(TupleIdList, ResizeReusesStorageAndClears) {
   EXPECT_EQ(list.Count(), 32u);
   list.Resize(256);  // grow again within the old high-water mark
   EXPECT_TRUE(list.Empty());
-}
-
-TEST(TupleIdList, RecountAfterWordEdit) {
-  TupleIdList list;
-  list.Resize(128);
-  list.mutable_words()[0] = 0xFFULL;
-  list.mutable_words()[1] = 0x1ULL;
-  list.RecountAfterWordEdit();
-  EXPECT_EQ(list.Count(), 9u);
-  EXPECT_TRUE(list.Contains(64));
-  EXPECT_FALSE(list.Contains(63));
 }
 
 }  // namespace

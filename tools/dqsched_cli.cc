@@ -15,7 +15,7 @@
 //   --bursty=REL:LEN:GAPMS            bursty arrival on one relation
 //   --strategy=seq|dse|ma|scr|dphj|all
 //   --memory-mb=F  --bmt=F  --batch=N  --queue=N  --timeout-ms=F
-//   --repeats=N                       seeds averaged per measurement
+//   --repeats=N                       seeds averaged per measurement (>= 1)
 //   --trace                           print the DSE decision log + timeline
 //   --csv                             machine-readable table
 
@@ -145,6 +145,7 @@ CliOptions Parse(int argc, char** argv) {
       Usage(argv[0], ("unknown flag " + arg).c_str());
     }
   }
+  if (o.repeats < 1) Usage(argv[0], "--repeats must be >= 1");
   return o;
 }
 
