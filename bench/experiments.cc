@@ -1045,7 +1045,7 @@ Grid FleetStream(const BenchOptions& options) {
     std::vector<std::string> headers = {
         "per-query", "class",   "queries",  "makespan (s)", "throughput (q/s)",
         "p50 (s)",   "p95 (s)", "p99 (s)",  "statuses",     "queued",
-        "forced",    "c-hits",  "c-miss",   "c-stale",      "c-evict"};
+        "c-hits",    "c-miss",  "c-stale",  "c-evict"};
     if (options.walls) headers.push_back("wall (ms)");
     TablePrinter table(std::move(headers));
     // Overall row plus one per fairness class; the class rows report the
@@ -1108,7 +1108,6 @@ Grid FleetStream(const BenchOptions& options) {
             TablePrinter::Num(lat.p99_s),
             FormatStatusCounts(counts),
             fleet_wide(std::to_string(r.broker.queued_admissions)),
-            fleet_wide(std::to_string(r.broker.forced_admissions)),
             fleet_wide(
                 std::to_string(r.cache.segment_hits + r.cache.result_hits)),
             fleet_wide(std::to_string(r.cache.segment_misses +

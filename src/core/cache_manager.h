@@ -77,7 +77,6 @@ class CacheManager {
   /// stable across runs); the fleet maps every instance source to its
   /// template-relative key so instances share entries.
   void MapSource(SourceId global, int64_t logical_key);
-  void ClearSourceMap() { logical_key_of_.clear(); }
 
   /// Declares that the logical source's *contents* changed: every cached
   /// entry computed from it becomes a stale miss on its next lookup.

@@ -6,6 +6,17 @@
 
 namespace dqsched::core {
 
+namespace {
+
+/// Consecutive suspicion signals (without an intervening recovery) that
+/// trip a closed breaker. A death signal trips immediately.
+constexpr int kTripSuspicions = 2;
+/// Each probe failure scales the next cooldown by this factor (up to
+/// BreakerConfig::max_cooldown).
+constexpr double kCooldownBackoff = 2.0;
+
+}  // namespace
+
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed:
@@ -36,7 +47,7 @@ void CircuitBreaker::Trip(SimTime now) {
     current_cooldown_ = std::min(
         config_.max_cooldown,
         static_cast<SimDuration>(static_cast<double>(base) *
-                                 config_.cooldown_backoff));
+                                 kCooldownBackoff));
     ++stats_.reopens;
   } else {
     current_cooldown_ = config_.cooldown;
@@ -51,7 +62,7 @@ void CircuitBreaker::Trip(SimTime now) {
 void CircuitBreaker::OnSuspected(SimTime now) {
   switch (state(now)) {
     case BreakerState::kClosed:
-      if (++consecutive_suspicions_ >= config_.trip_suspicions) Trip(now);
+      if (++consecutive_suspicions_ >= kTripSuspicions) Trip(now);
       break;
     case BreakerState::kHalfOpen:
       Trip(now);  // the probe ran into the outage again

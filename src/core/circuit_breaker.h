@@ -7,7 +7,7 @@
 //
 // State machine (classic closed/open/half-open):
 //
-//   closed ---- trip_suspicions consecutive suspicions, or a death ----+
+//   closed ---- kTripSuspicions consecutive suspicions, or a death ----+
 //     ^                                                                v
 //     |  probe success                                               open
 //     +------------- half-open <------- cooldown elapsed --------------+
@@ -33,13 +33,10 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 const char* BreakerStateName(BreakerState state);
 
 struct BreakerConfig {
-  /// Consecutive suspicion signals (without an intervening recovery) that
-  /// trip a closed breaker. A death signal trips immediately.
-  int trip_suspicions = 2;
-  /// Virtual time an open breaker waits before admitting a probe.
+  /// Virtual time an open breaker waits before admitting a probe. Each
+  /// probe failure scales the next cooldown (kCooldownBackoff in
+  /// circuit_breaker.cc) ...
   SimDuration cooldown = Seconds(1);
-  /// Each probe failure scales the next cooldown by this factor ...
-  double cooldown_backoff = 2.0;
   /// ... capped here.
   SimDuration max_cooldown = Seconds(30);
 };

@@ -144,12 +144,6 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
   const int num_shards = config_.num_shards;
   const int total = num_queries();
 
-  // The lifecycle gate (DESIGN.md §13): when neither deadlines nor a
-  // storm are configured, every branch below collapses to the
-  // pre-lifecycle fleet — same turns, same stalls, same broker traffic —
-  // so disarmed runs stay byte-identical to the old baselines.
-  const bool lifecycle =
-      config_.deadline_budget > 0 || config_.storm.active();
   comm::CommConfig comm_config = config_.comm;
   // A storm is pointless without the detector watching for it.
   if (config_.storm.active()) comm_config.failure_detection = true;
@@ -266,7 +260,6 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     SharedQueryLoop::Options loop_options;
     loop_options.strategy = strategy;
     loop_options.config = config_.strategy;
-    loop_options.surface_lifecycle = lifecycle;
     loop_options.kernels = config_.kernels;
     loop_options.cache = shard_cache;
     sr.loop = std::make_unique<SharedQueryLoop>(sr.ctx.get(), loop_options);
@@ -403,7 +396,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
       LifeState& ls = life[static_cast<size_t>(uid)];
       FleetQueryOutcome& oc = outcomes[static_cast<size_t>(uid)];
       const SimTime now = ctx.clock.now();
-      if (lifecycle && ls.deadline > 0 && now >= ls.deadline) {
+      if (ls.deadline > 0 && now >= ls.deadline) {
         // The grant outlived its usefulness while it sat in the mailbox
         // (the shard's clock outran the deadline): shed at join — the
         // grant is returned unused, the query never runs.
@@ -492,17 +485,10 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
                           static_cast<uint64_t>(ls.attempts),
                       static_cast<uint64_t>(key) + 0x5151));
         }
-        bool admit = true;
-        if (lifecycle) {
-          CircuitBreaker& breaker = sr.breakers->Of(key);
-          const bool probing =
-              breaker.state(now) == BreakerState::kHalfOpen;
-          admit = breaker.Allow(now);
-          if (admit && probing) {
-            sr.probe_owner[static_cast<size_t>(key)] = uid;
-          }
-        }
-        if (admit) {
+        CircuitBreaker& breaker = sr.breakers->Of(key);
+        const bool probing = breaker.state(now) == BreakerState::kHalfOpen;
+        if (breaker.Allow(now)) {
+          if (probing) sr.probe_owner[static_cast<size_t>(key)] = uid;
           ctx.comm.StartSource(src, now);
         } else {
           // Open breaker: degrade immediately instead of burning the
@@ -551,26 +537,24 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
           FleetQueryOutcome& oc = outcomes[static_cast<size_t>(uid)];
           oc.completed = sr.loop->done_at(slot);
           oc.completion_latency = oc.completed - oc.arrival;
-          if (lifecycle) {
-            harvest(slot);
-            // Completion is the probe-success signal: every source the
-            // query actually read to the end is demonstrably alive, so a
-            // non-closed breaker guarding one resets.
-            const SharedQueryDesc& d = sr.loop->desc(slot);
-            for (SourceId src = d.source_lo; src < d.source_hi; ++src) {
-              if (ctx.comm.SourceClosed(src)) continue;
-              const int key = sr.source_key[static_cast<size_t>(src)];
-              CircuitBreaker& breaker = sr.breakers->Of(key);
-              if (breaker.state(ctx.clock.now()) != BreakerState::kClosed) {
-                breaker.OnRecovered(ctx.clock.now());
-              }
-              if (sr.probe_owner[static_cast<size_t>(key)] == uid) {
-                sr.probe_owner[static_cast<size_t>(key)] = -1;
-              }
+          harvest(slot);
+          // Completion is the probe-success signal: every source the
+          // query actually read to the end is demonstrably alive, so a
+          // non-closed breaker guarding one resets.
+          const SharedQueryDesc& d = sr.loop->desc(slot);
+          for (SourceId src = d.source_lo; src < d.source_hi; ++src) {
+            if (ctx.comm.SourceClosed(src)) continue;
+            const int key = sr.source_key[static_cast<size_t>(src)];
+            CircuitBreaker& breaker = sr.breakers->Of(key);
+            if (breaker.state(ctx.clock.now()) != BreakerState::kClosed) {
+              breaker.OnRecovered(ctx.clock.now());
             }
-            if (ls.partial) {
-              fault_acc[static_cast<size_t>(uid)].partial_result = true;
+            if (sr.probe_owner[static_cast<size_t>(key)] == uid) {
+              sr.probe_owner[static_cast<size_t>(key)] = -1;
             }
+          }
+          if (ls.partial) {
+            fault_acc[static_cast<size_t>(uid)].partial_result = true;
           }
           oc.status =
               ls.partial ? QueryStatus::kPartial : QueryStatus::kOk;
@@ -636,20 +620,12 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
           break;
         }
         case SharedQueryLoop::Turn::Kind::kAllStarved: {
+          // The loop's target already folds in the detector's next
+          // threshold and the live deadlines; the shard adds its next
+          // admission.
           SimTime next = turn->stall_until;
           if (!sr.mailbox.empty()) {
             next = std::min(next, sr.mailbox.front().granted_at);
-          }
-          if (lifecycle) {
-            // A wedged mix is no longer an error: the detector's next
-            // threshold and the earliest live deadline bound the stall,
-            // so every query terminates in a documented status instead.
-            next = std::min(next, ctx.comm.NextFaultDeadline(ctx.clock.now()));
-            for (int q = 0; q < sr.loop->num_queries(); ++q) {
-              if (sr.loop->done(q)) continue;
-              const SimTime dl = sr.loop->desc(q).deadline;
-              if (dl > 0) next = std::min(next, dl);
-            }
           }
           if (next == kSimTimeNever) {
             sr.status = Status::Internal("fleet shard cannot make progress");
@@ -739,7 +715,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     }
 
     shed.clear();
-    size_t delivered = deliver(broker.Arbitrate(num_shards, &shed));
+    const size_t delivered = deliver(broker.Arbitrate(num_shards, &shed));
     // Deadline-aware admission: a queued request whose earliest possible
     // grant stamp reached its deadline was dropped by the broker. It was
     // never granted, so the only bookkeeping is its terminal status.
@@ -752,17 +728,14 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     }
     audit();
     reclaim();
-    if (tasks.empty() && delivered == 0 && shed.empty()) {
-      // No shard could run and arbitration admitted nothing: only an
-      // over-budget head can block the queue. Force it through (the
-      // execution-level accountant still enforces; DQO spills).
-      if (!broker.HasQueued()) {
-        return Status::Internal("fleet cannot make progress");
-      }
-      deliver(broker.ForceAdmit(num_shards));
-      audit();
-      reclaim();
-    }
+    // Progress: a round with no runnable shard has nothing outstanding
+    // (every grant runs in a loop or waits in a mailbox — the audit
+    // above), and with nothing outstanding the broker admits any queue
+    // head, however large. So such a round admits or sheds a request
+    // unless no query is waiting at all, which the terminal count at the
+    // top of the loop rules out.
+    DQS_CHECK_MSG(!tasks.empty() || delivered > 0 || !shed.empty(),
+                  "fleet round made no progress");
   }
   DQS_CHECK_MSG(broker.outstanding_bytes() == 0 && !broker.HasQueued(),
                 "fleet ended with outstanding grants");

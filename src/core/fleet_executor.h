@@ -68,14 +68,13 @@ struct FleetConfig : EngineConfig {
   int64_t sync_turns = 1024;
 
   // ---- Query lifecycle (DESIGN.md §13) ----------------------------------
-  // The lifecycle manager is armed when deadline_budget > 0 or a storm is
-  // configured; otherwise the fleet behaves exactly as before (and its
-  // non-wall metrics stay byte-identical to the pre-lifecycle baselines).
+  // Always on. With no deadline, no storm and the failure detector off
+  // nothing ever fires: every breaker stays closed and every query ends
+  // kOk.
 
   /// Per-attempt virtual-time budget, measured from the attempt's
   /// admission-request arrival: attempt deadline = request arrival +
-  /// budget. 0 disables deadlines (and, absent a storm, the whole
-  /// lifecycle layer).
+  /// budget. 0 disables deadlines.
   SimDuration deadline_budget = 0;
   /// Attempts a query killed by source death or deadline expiry may
   /// consume before it terminates kRetriesExhausted (>= 1).
@@ -115,8 +114,8 @@ struct FleetQueryOutcome {
   /// byte-identity contract). metrics.fault accumulates over every
   /// attempt of the query.
   ExecutionMetrics metrics;
-  /// Terminal lifecycle status. Always kOk or kPartial when the
-  /// lifecycle layer is disarmed.
+  /// Terminal lifecycle status. Always kOk with no deadline, no storm
+  /// and the failure detector off.
   QueryStatus status = QueryStatus::kOk;
   /// Admission attempts consumed (1 for a first-try success; 0 only for
   /// kShed queries, which never joined a shard).

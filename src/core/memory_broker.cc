@@ -35,7 +35,7 @@ bool MemoryBroker::Fits(const QueuedRequest& qr) const {
 }
 
 void MemoryBroker::Admit(std::deque<QueuedRequest>* queue,
-                         std::vector<std::vector<Grant>>* out, bool forced) {
+                         std::vector<std::vector<Grant>>* out) {
   QueuedRequest qr = std::move(queue->front());
   queue->pop_front();
   Grant grant;
@@ -49,7 +49,6 @@ void MemoryBroker::Admit(std::deque<QueuedRequest>* queue,
       std::max(stats_.peak_outstanding_bytes, outstanding_bytes_);
   ++stats_.grants_issued;
   if (grant.granted_at > qr.request.arrival) ++stats_.queued_admissions;
-  if (forced) ++stats_.forced_admissions;
   (*out)[static_cast<size_t>(qr.request.shard)].push_back(grant);
 }
 
@@ -126,24 +125,15 @@ std::vector<std::vector<MemoryBroker::Grant>> MemoryBroker::Arbitrate(
   std::vector<std::vector<Grant>> out(static_cast<size_t>(num_shards));
   while (true) {
     if (!interactive_.empty() && Fits(interactive_.front())) {
-      Admit(&interactive_, &out, /*forced=*/false);
+      Admit(&interactive_, &out);
     } else if (!batch_.empty() && Fits(batch_.front())) {
-      Admit(&batch_, &out, /*forced=*/false);
+      Admit(&batch_, &out);
     } else {
       break;
     }
   }
   for (QueuedRequest& qr : interactive_) qr.waited = true;
   for (QueuedRequest& qr : batch_) qr.waited = true;
-  return out;
-}
-
-std::vector<std::vector<MemoryBroker::Grant>> MemoryBroker::ForceAdmit(
-    int num_shards) {
-  DQS_CHECK_MSG(HasQueued(), "ForceAdmit with no queued request");
-  std::vector<std::vector<Grant>> out(static_cast<size_t>(num_shards));
-  Admit(interactive_.empty() ? &batch_ : &interactive_, &out,
-        /*forced=*/true);
   return out;
 }
 

@@ -90,8 +90,6 @@ class MemoryBroker {
     int64_t releases_applied = 0;
     /// Grants whose granted_at exceeds their arrival (queued for memory).
     int64_t queued_admissions = 0;
-    /// Grants issued by ForceAdmit (progress backstop).
-    int64_t forced_admissions = 0;
     /// Queued requests dropped because their earliest grant stamp could
     /// no longer beat their deadline. Shed requests are never granted,
     /// so they do not participate in the grants == releases law.
@@ -119,11 +117,6 @@ class MemoryBroker {
   /// the new grants bucketed by shard (outer index = shard id).
   std::vector<std::vector<Grant>> Arbitrate(
       int num_shards, std::vector<Request>* shed = nullptr);
-
-  /// Progress backstop: admits the head queued request (interactive
-  /// first) regardless of budget. Only legal when HasQueued(); the
-  /// coordinator calls it when no shard can advance otherwise.
-  std::vector<std::vector<Grant>> ForceAdmit(int num_shards);
 
   bool HasQueued() const;
   /// Sum of granted-but-not-released estimates.
@@ -163,7 +156,7 @@ class MemoryBroker {
   void ShedExpired(std::deque<QueuedRequest>* queue,
                    std::vector<Request>* shed);
   void Admit(std::deque<QueuedRequest>* queue,
-             std::vector<std::vector<Grant>>* out, bool forced);
+             std::vector<std::vector<Grant>>* out);
 
   Config config_;
 
@@ -171,7 +164,7 @@ class MemoryBroker {
   std::vector<Request> pending_requests_;
   std::vector<Release> pending_releases_;
 
-  // Barrier-side state: touched only inside Arbitrate/ForceAdmit.
+  // Barrier-side state: touched only inside Arbitrate.
   std::deque<QueuedRequest> interactive_;
   std::deque<QueuedRequest> batch_;
   int64_t outstanding_bytes_ = 0;

@@ -190,11 +190,17 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
       loop.RetireQuery(turn->query);
       continue;
     }
+    if (turn->kind == SharedQueryLoop::Turn::Kind::kSourceDead) {
+      // No lifecycle layer to retry or degrade the owner: a dead source
+      // fails the mix. Suspicion and recovery only replan, which the loop
+      // already did, and the mix sets no deadlines.
+      return Status::Unavailable("source " + std::to_string(turn->source) +
+                                 " declared dead in multi-query mix");
+    }
     if (turn->kind != SharedQueryLoop::Turn::Kind::kAllStarved) continue;
     // Every unfinished query starves: advance the shared clock to the
-    // earliest arrival any of them waits for. The loop never touches the
-    // clock — the stall (and the charge-order discipline around it) lives
-    // here in the driver.
+    // loop's stall target. The loop never touches the clock — the stall
+    // (and the charge-order discipline around it) lives here.
     if (turn->stall_until == kSimTimeNever) {
       return Status::Internal("multi-query mix cannot make progress");
     }
@@ -227,10 +233,6 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   out.fault = ContextFaults(ctx.comm);
   if (cache != nullptr) out.cache = cache->stats();
   return out;
-}
-
-void MultiQueryMediator::ResetCache() const {
-  if (cache_ != nullptr) cache_->Clear();
 }
 
 void MultiQueryMediator::BumpCacheVersion(int64_t logical_key) const {

@@ -93,9 +93,6 @@ class MultiQueryMediator {
 
   int num_queries() const { return static_cast<int>(queries_.size()); }
 
-  /// Drops the cache (entries and counters): the next Execute runs cold,
-  /// byte-identical to cache=off on every non-wall metric.
-  void ResetCache() const;
   /// Declares source-data churn on global source id `logical_key` (the
   /// multi-query modes map sources to themselves): dependent entries
   /// become stale misses.

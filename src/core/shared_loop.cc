@@ -203,46 +203,40 @@ Result<SharedQueryLoop::Turn> SharedQueryLoop::Step() {
       run.need_replan = true;
       break;
     case EventKind::kSourceDown:
-      run.need_replan = true;
-      if (options_.surface_lifecycle) {
-        turn.kind = ctx_->comm.SourceDead(evt->source)
-                        ? Turn::Kind::kSourceDead
-                        : Turn::Kind::kSourceSuspected;
-        turn.source = evt->source;
-        turn.query = SourceOwner(evt->source);
-        break;
-      }
-      if (ctx_->comm.SourceDead(evt->source)) {
-        return Status::Unavailable("source " + std::to_string(evt->source) +
-                                   " declared dead in multi-query mix");
-      }
-      break;
     case EventKind::kSourceRecovered:
       run.need_replan = true;
-      if (options_.surface_lifecycle) {
-        turn.kind = Turn::Kind::kSourceRecovered;
-        turn.source = evt->source;
-        turn.query = SourceOwner(evt->source);
-      }
+      turn.kind = evt->kind == EventKind::kSourceRecovered
+                      ? Turn::Kind::kSourceRecovered
+                  : ctx_->comm.SourceDead(evt->source)
+                      ? Turn::Kind::kSourceDead
+                      : Turn::Kind::kSourceSuspected;
+      turn.source = evt->source;
+      turn.query = SourceOwner(evt->source);
       break;
     case EventKind::kDeadlineExceeded:
-      if (options_.surface_lifecycle) {
-        turn.kind = Turn::Kind::kQueryDeadline;
-        turn.query = cur;
-        break;
-      }
-      return Status::DeadlineExceeded(
-          "query deadline expired in multi-query mix");
+      turn.kind = Turn::Kind::kQueryDeadline;
+      turn.query = cur;
+      break;
     case EventKind::kSliceEnd:
       break;  // keep the plan, yield the CPU
     case EventKind::kStarved:
       run.need_replan = true;
       if (++starved_streak_ >= active_) {
-        // Every active query starves: report the earliest arrival any of
-        // them waits for; the caller advances the shared clock (or caps
-        // the stall at its own next event).
+        // Every active query starves: report the earliest instant any of
+        // them can move again. A silent source schedules no arrival, so
+        // the detector's next threshold and the earliest live deadline
+        // bound the stall, as they bound one query's in Dqp::RunPhase.
+        // The caller advances the shared clock (or caps the stall at its
+        // own next event).
+        SimTime next = std::min(
+            EarliestArrival(), ctx_->comm.NextFaultDeadline(ctx_->clock.now()));
+        for (const std::unique_ptr<QueryRun>& other : runs_) {
+          if (!other->done && other->desc.deadline > 0) {
+            next = std::min(next, other->desc.deadline);
+          }
+        }
         turn.kind = Turn::Kind::kAllStarved;
-        turn.stall_until = EarliestArrival();
+        turn.stall_until = next;
         starved_streak_ = 0;
       }
       break;

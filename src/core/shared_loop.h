@@ -12,7 +12,11 @@
 // stall target (Turn::kAllStarved) and the *caller* owns the
 // StallUntil — that keeps the charge-order discipline (DESIGN §10) in the
 // two reviewed driver files (core/multi_query.cc, core/fleet_executor.cc)
-// and lets the fleet cap a stall at its next query arrival.
+// and lets the fleet cap a stall at its next query arrival. Likewise the
+// loop only reports lifecycle events (source suspicion, death and
+// recovery, deadline expiry) as turns and the caller reacts: the fleet
+// kills, retries and trips breakers, the multi-query mix fails on a
+// dead source.
 //
 // Queries may join dynamically (AddQuery between Step() calls): the fleet
 // admits queries as its memory broker grants them. A joining query is
@@ -52,8 +56,9 @@ struct SharedQueryDesc {
   SourceId source_lo = 0;
   SourceId source_hi = 0;
   /// Absolute virtual-time deadline forced into the query's DqpConfig
-  /// (0 = unlimited). Only meaningful with Options::surface_lifecycle —
-  /// the loop reports the expiry; the caller decides cancel vs retry.
+  /// (0 = unlimited). It bounds every all-starved stall while the query
+  /// runs; the loop reports the expiry (kQueryDeadline) and the caller
+  /// decides cancel vs retry.
   SimTime deadline = 0;
   /// Result-cache whole-query hit (DESIGN.md §14): the query joins
   /// already answered. Its slot is registered done with the cached digest
@@ -69,14 +74,10 @@ class SharedQueryLoop {
  public:
   struct Options {
     StrategyKind strategy = StrategyKind::kDse;
-    /// Per-query DQS/DQP tunables; the loop forces kSliceBatches and
-    /// yield_on_starvation onto every query's DqpConfig.
+    /// Per-query DQS/DQP tunables; the loop forces kSliceBatches,
+    /// yield_on_starvation and the desc's deadline onto every query's
+    /// DqpConfig.
     StrategyConfig config;
-    /// Surface lifecycle events (deadline expiry, source suspicion /
-    /// death / recovery) as Turn kinds for the caller's lifecycle manager
-    /// instead of failing the whole loop (the pre-§13 behaviour, kept as
-    /// the default for the single-mediator multi-query mode).
-    bool surface_lifecycle = false;
     exec::KernelConfig kernels;
     /// The shard's result cache; nullptr = caching off. Wired into every
     /// query's ExecutionOptions so Dqs::ComputePlan probes segments.
@@ -100,7 +101,6 @@ class SharedQueryLoop {
       kQueryDone,   // `query` finished on this turn
       kAllStarved,  // every active query starves until `stall_until`
       kIdle,        // no active queries registered
-      // The remaining kinds fire only with Options::surface_lifecycle.
       kQueryDeadline,    // `query`'s virtual deadline expired
       kSourceSuspected,  // the detector suspects `source` (owner `query`)
       kSourceDead,       // the detector declared `source` dead
@@ -110,7 +110,8 @@ class SharedQueryLoop {
     int query = -1;
     /// kSource*: the global source id the detector signalled.
     SourceId source = kInvalidId;
-    /// kAllStarved: the earliest arrival any active query waits for;
+    /// kAllStarved: the earliest of any active query's next arrival, the
+    /// failure detector's next threshold and the earliest live deadline;
     /// kSimTimeNever when none exists (the mix is wedged). The caller
     /// stalls the clock (or errors) — the loop does not touch it.
     SimTime stall_until = kSimTimeNever;
@@ -119,7 +120,7 @@ class SharedQueryLoop {
   /// Runs one turn of the current query. Never stalls the clock.
   Result<Turn> Step();
 
-  /// Cooperative cancellation (surface_lifecycle callers): releases the
+  /// Cooperative cancellation (the fleet's kill path): releases the
   /// query's operand grants and temps (ExecutionState::Cancel), closes
   /// its comm sources so their wrappers go quiet, and retires the slot
   /// from the rotation. The slot reads as done (done_at = now) with

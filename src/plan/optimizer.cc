@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/macros.h"
@@ -72,7 +73,11 @@ Result<Plan> OptimizeBushy(const wrapper::Catalog& catalog,
                            const std::vector<JoinEdge>& edges) {
   DQS_RETURN_IF_ERROR(catalog.Validate());
   const int n = catalog.num_sources();
-  DQS_CHECK_MSG(n <= 20, "DP optimizer supports at most 20 relations");
+  if (n > 20) {
+    return Status::InvalidArgument(
+        "DP optimizer supports at most 20 relations, got " +
+        std::to_string(n));
+  }
 
   if (n == 1) {
     Plan plan;

@@ -34,7 +34,8 @@ struct JoinEdge {
 
 /// Runs the DP over `edges` (which must form a spanning tree of the
 /// catalog's relations) and returns the cheapest bushy plan. Practical up
-/// to ~14 relations.
+/// to ~14 relations; more than 20 is InvalidArgument (the DP tables are
+/// indexed by relation subset).
 Result<Plan> OptimizeBushy(const wrapper::Catalog& catalog,
                            const std::vector<JoinEdge>& edges);
 

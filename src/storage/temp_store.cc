@@ -94,8 +94,6 @@ int64_t TempStore::Cardinality(TempId id) const {
   return rel.tuples.size();
 }
 
-const std::string& TempStore::Name(TempId id) const { return Get(id).name; }
-
 int64_t TempStore::Pages(TempId id) const {
   return cost_->PagesForTuples(Cardinality(id));
 }

@@ -83,7 +83,6 @@ class TempStore {
 
   bool IsSealed(TempId id) const;
   int64_t Cardinality(TempId id) const;
-  const std::string& Name(TempId id) const;
   /// Pages the sealed temp occupies on disk.
   int64_t Pages(TempId id) const;
 

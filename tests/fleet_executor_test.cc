@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/memory_broker.h"
+#include "fnv1a.h"
 #include "plan/canonical_plans.h"
 
 namespace dqsched::core {
@@ -115,17 +116,22 @@ TEST(MemoryBroker, OversizedLoneQueryAdmits) {
   EXPECT_EQ(broker.outstanding_bytes(), 5000);
 }
 
-TEST(MemoryBroker, ForceAdmitBreaksDeadlockAndCounts) {
+TEST(MemoryBroker, OversizedQueuedRequestAdmitsAfterRelease) {
+  // The fleet's progress check rests on this rule: a request larger than
+  // the whole budget waits behind an outstanding grant, and the first
+  // Arbitrate after that grant's release admits it.
   MemoryBroker broker({10});
   broker.Submit(Req(1, 0, 8, FairnessClass::kBatch, 0));
   ASSERT_EQ(Flatten(broker.Arbitrate(1)).size(), 1u);
-  broker.Submit(Req(2, 0, 8, FairnessClass::kBatch, 1));
+  broker.Submit(Req(2, 0, 5000, FairnessClass::kBatch, 1));
   ASSERT_EQ(Flatten(broker.Arbitrate(1)).size(), 0u);
   ASSERT_TRUE(broker.HasQueued());
-  const auto grants = Flatten(broker.ForceAdmit(1));
+  broker.Submit(Rel(1, 8, 300));
+  const auto grants = Flatten(broker.Arbitrate(1));
   ASSERT_EQ(grants.size(), 1u);
   EXPECT_EQ(grants[0].uid, 2);
-  EXPECT_EQ(broker.stats().forced_admissions, 1);
+  EXPECT_EQ(grants[0].granted_at, 300);
+  EXPECT_EQ(broker.outstanding_bytes(), 5000);
   EXPECT_FALSE(broker.HasQueued());
 }
 
@@ -220,8 +226,8 @@ std::string Fingerprint(const FleetMetrics& m) {
   }
   os << m.makespan << '/' << m.rounds << '/' << m.broker.grants_issued << '/'
      << m.broker.releases_applied << '/' << m.broker.queued_admissions << '/'
-     << m.broker.forced_admissions << '/' << m.broker.shed_requests << '/'
-     << m.broker.peak_outstanding_bytes << '\n';
+     << m.broker.shed_requests << '/' << m.broker.peak_outstanding_bytes
+     << '\n';
   for (int64_t c : m.status_counts) os << c << '/';
   os << m.breakers.trips << '/' << m.breakers.probes << '/'
      << m.breakers.reopens << '/' << m.breakers.resets << '/'
@@ -344,6 +350,39 @@ TEST(FleetExecutor, VirtualResultsByteIdenticalAcrossJobs) {
     const std::string f1 = Fingerprint(*j1);
     EXPECT_EQ(f1, Fingerprint(*j2)) << StrategyName(kind);
     EXPECT_EQ(f1, Fingerprint(*j8)) << StrategyName(kind);
+  }
+}
+
+TEST(FleetExecutor, OutcomesMatchPinnedDigests) {
+  // No storm, no deadline, the detector off, as in bench_fleet's default
+  // rows. Byte-identity across --jobs cannot see a change that moves
+  // every job count alike; these digests can. A change that moves any
+  // outcome must re-pin them deliberately. On the warm run every query
+  // is a whole-query cache hit, so SEQ and DSE pin one digest.
+  struct Cell {
+    StrategyKind strategy;
+    bool warm;  // digest the second run of a warm cache
+    uint64_t digest;
+  };
+  const Cell cells[] = {
+      {StrategyKind::kSeq, false, 0x37434313d5c814eaULL},
+      {StrategyKind::kDse, false, 0xe853451fea5c8284ULL},
+      {StrategyKind::kSeq, true, 0x4cb5c86caad3695fULL},
+      {StrategyKind::kDse, true, 0x4cb5c86caad3695fULL},
+  };
+  for (const Cell& cell : cells) {
+    FleetConfig config = SmallConfig();
+    config.cache.enabled = cell.warm;
+    Result<FleetExecutor> fleet =
+        FleetExecutor::Create(TinyTemplates(), Stream(12), config);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    Result<FleetMetrics> r = fleet->Execute(cell.strategy, 2);
+    if (cell.warm && r.ok()) r = fleet->Execute(cell.strategy, 2);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const uint64_t digest = Fnv1a(Fingerprint(*r));
+    EXPECT_EQ(digest, cell.digest)
+        << StrategyName(cell.strategy) << (cell.warm ? " warm" : " off")
+        << " digest 0x" << std::hex << digest;
   }
 }
 

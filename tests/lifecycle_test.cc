@@ -14,6 +14,7 @@
 
 #include "core/circuit_breaker.h"
 #include "core/fleet_executor.h"
+#include "fnv1a.h"
 #include "plan/canonical_plans.h"
 #include "wrapper/fault_model.h"
 
@@ -22,9 +23,7 @@ namespace {
 
 BreakerConfig TestBreaker() {
   BreakerConfig config;
-  config.trip_suspicions = 2;
   config.cooldown = Seconds(1);
-  config.cooldown_backoff = 2.0;
   config.max_cooldown = Seconds(30);
   return config;
 }
@@ -409,15 +408,6 @@ TEST(FleetLifecycle, StormTaxonomyByteIdenticalAcrossJobs) {
   }
 }
 
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 TEST(FleetLifecycle, StormOutcomesMatchPinnedDigests) {
   // Byte-identity across --jobs cannot see a change that moves every job
   // count alike; these digests of the taxonomy plus the makespan can. A
@@ -501,6 +491,40 @@ TEST(FleetLifecycle, LethalOutageExhaustsRetriesOrDegrades) {
     max_attempts_seen = std::max(max_attempts_seen, q.attempts);
   }
   EXPECT_EQ(max_attempts_seen, 2);
+}
+
+TEST(FleetLifecycle, DetectorWithoutStormSendsDeadSourceThroughRetries) {
+  // The caller arms the failure detector but configures no storm and no
+  // deadline. A source silent for 2 s at start is declared dead; the
+  // fleet kills the attempt and trips the breaker, and the retry runs
+  // without that source (partial) instead of failing the whole Execute.
+  plan::QuerySetup setup = plan::TinyTwoSourceQuery(800, 1200);
+  setup.catalog.sources[0].delay.kind = wrapper::DelayKind::kInitial;
+  setup.catalog.sources[0].delay.initial_delay_ms = 2000.0;
+  std::vector<plan::QuerySetup> templates;
+  templates.push_back(std::move(setup));
+  std::vector<FleetQuerySpec> workload(3);
+  for (int i = 0; i < 3; ++i) workload[i].arrival = Milliseconds(5.0 * i);
+  FleetConfig config;
+  config.seed = 7;
+  config.num_shards = 4;
+  config.sync_turns = 64;
+  config.comm.failure_detection = true;
+  Result<FleetExecutor> fleet =
+      FleetExecutor::Create(std::move(templates), workload, config);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  Result<FleetMetrics> r = fleet->Execute(StrategyKind::kDse, 2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  int64_t terminal = 0;
+  for (int64_t c : r->status_counts) terminal += c;
+  EXPECT_EQ(terminal, 3);
+  EXPECT_EQ(r->broker.grants_issued, r->broker.releases_applied);
+  EXPECT_GT(r->fault.sources_dead, 0);
+  EXPECT_GT(r->breakers.trips, 0);
+  for (const FleetQueryOutcome& q : r->queries) {
+    EXPECT_EQ(q.status, QueryStatus::kPartial) << q.uid;
+    EXPECT_EQ(q.attempts, 2) << q.uid;
+  }
 }
 
 }  // namespace

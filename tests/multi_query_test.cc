@@ -178,6 +178,28 @@ TEST(MultiQuery, MixedQueryShapes) {
   }
 }
 
+TEST(MultiQuery, SharedModeFailsOnDeadSource) {
+  // The mix has no lifecycle layer: with the detector armed, sources
+  // silent for 2 s at start are declared dead and fail the whole run.
+  std::vector<plan::QuerySetup> mix;
+  for (int i = 0; i < 3; ++i) {
+    mix.push_back(plan::TinyTwoSourceQuery(800, 1200));
+    mix.back().catalog.sources[0].delay.kind = wrapper::DelayKind::kInitial;
+    mix.back().catalog.sources[0].delay.initial_delay_ms = 2000.0;
+  }
+  MultiQueryConfig config = SmallConfig();
+  config.comm.failure_detection = true;
+  Result<MultiQueryMediator> m =
+      MultiQueryMediator::Create(std::move(mix), config);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  for (StrategyKind kind : {StrategyKind::kSeq, StrategyKind::kDse}) {
+    Result<MultiQueryMetrics> r = m->Execute(kind, MultiMode::kShared);
+    ASSERT_FALSE(r.ok()) << StrategyName(kind);
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
+        << StrategyName(kind) << ": " << r.status().ToString();
+  }
+}
+
 TEST(MultiQuery, ModeNamesStable) {
   EXPECT_STREQ(MultiModeName(MultiMode::kSerial), "serial");
   EXPECT_STREQ(MultiModeName(MultiMode::kShared), "shared");

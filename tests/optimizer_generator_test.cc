@@ -91,6 +91,16 @@ TEST(Optimizer, RejectsFieldReuse) {
   EXPECT_FALSE(OptimizeBushy(catalog, edges).ok());
 }
 
+TEST(Optimizer, RejectsMoreThanTwentyRelations) {
+  GeneratorConfig config;
+  config.num_sources = 21;
+  config.seed = 3;
+  const GeneratedGraph graph = GenerateJoinGraph(config);
+  Result<Plan> plan = OptimizeBushy(graph.catalog, graph.edges);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(Generator, JoinGraphIsSpanningTree) {
   GeneratorConfig config;
   config.num_sources = 8;

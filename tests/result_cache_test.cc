@@ -19,6 +19,7 @@
 #include "core/fleet_executor.h"
 #include "core/mediator.h"
 #include "core/multi_query.h"
+#include "fnv1a.h"
 #include "plan/canonical_plans.h"
 #include "storage/memory_accountant.h"
 
@@ -204,7 +205,7 @@ std::string FleetFingerprint(const FleetMetrics& m) {
   }
   os << m.makespan << '/' << m.rounds << '/' << m.broker.grants_issued << '/'
      << m.broker.releases_applied << '/' << m.broker.queued_admissions << '/'
-     << m.broker.forced_admissions << '/' << m.broker.peak_outstanding_bytes;
+     << m.broker.peak_outstanding_bytes;
   for (int64_t c : m.status_counts) os << '/' << c;
   return os.str();
 }
@@ -270,6 +271,40 @@ TEST(ResultCacheEquivalence, MultiQueryOffVsColdByteIdentical) {
       EXPECT_EQ(r_cold->cache.result_hits + r_cold->cache.segment_hits, 0);
       EXPECT_GT(r_cold->cache.result_misses, 0);
     }
+  }
+}
+
+TEST(ResultCacheEquivalence, SharedMixMatchesPinnedDigests) {
+  // The shared multi-query loop on three Figure-5 queries, cache off and
+  // on the second run of a warm cache (all whole-query hits, so SEQ and
+  // DSE pin one digest). A change that moves any outcome must re-pin
+  // these deliberately.
+  std::vector<plan::QuerySetup> mix;
+  for (int i = 0; i < 3; ++i) mix.push_back(plan::PaperFigure5Query(0.02));
+  struct Cell {
+    StrategyKind strategy;
+    bool warm;  // digest the second run of a warm cache
+    uint64_t digest;
+  };
+  const Cell cells[] = {
+      {StrategyKind::kSeq, false, 0x8a8b1aae04bdadfdULL},
+      {StrategyKind::kDse, false, 0x01843bc158a2fb87ULL},
+      {StrategyKind::kSeq, true, 0xade5c7f7eca0148eULL},
+      {StrategyKind::kDse, true, 0xade5c7f7eca0148eULL},
+  };
+  for (const Cell& cell : cells) {
+    MultiQueryConfig config;
+    config.seed = 42;
+    config.cache.enabled = cell.warm;
+    auto m = MultiQueryMediator::Create(mix, config);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    auto r = m->Execute(cell.strategy, MultiMode::kShared);
+    if (cell.warm && r.ok()) r = m->Execute(cell.strategy, MultiMode::kShared);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const uint64_t digest = Fnv1a(MqFingerprint(*r));
+    EXPECT_EQ(digest, cell.digest)
+        << StrategyName(cell.strategy) << (cell.warm ? " warm" : " off")
+        << " digest 0x" << std::hex << digest;
   }
 }
 

@@ -6,7 +6,7 @@
 //
 // Flags:
 //   --query=paper|tiny|chain|random   workload (default paper)
-//   --scale=F                         cardinality multiplier (paper query)
+//   --scale=F                         cardinality multiplier, > 0
 //   --sources=N                       relations (random query)
 //   --seed=N                          data + delay seed
 //   --w=US                            mean inter-tuple delay for all sources
@@ -19,6 +19,7 @@
 //   --trace                           print the DSE decision log + timeline
 //   --csv                             machine-readable table
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -146,6 +147,9 @@ CliOptions Parse(int argc, char** argv) {
     }
   }
   if (o.repeats < 1) Usage(argv[0], "--repeats must be >= 1");
+  if (!std::isfinite(o.scale) || o.scale <= 0) {
+    Usage(argv[0], "--scale must be a finite number > 0");
+  }
   return o;
 }
 
