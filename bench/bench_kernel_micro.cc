@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) isolating the operator kernels the
 // executor spins on: filter evaluation (tuple-at-a-time push_back vs
-// selection-vector refine) and hash-join probes (per-tuple bucket scan vs
+// position-array compaction) and hash-join probes (per-tuple bucket scan vs
 // the two-pass vectorized count/expand pipeline). Sweeps batch size,
 // filter selectivity, and probe match fanout; bench_suite measures the
 // end-to-end effect, this binary isolates the kernels.
@@ -11,14 +11,12 @@
 #include <vector>
 
 #include "exec/hash_index.h"
-#include "exec/tuple_id_list.h"
 #include "storage/tuple.h"
 
 namespace dqsched {
 namespace {
 
 using exec::HashIndex;
-using exec::TupleIdList;
 using storage::Tuple;
 
 constexpr int32_t kFilterNode = 11;
@@ -133,20 +131,22 @@ void BM_FilterScalar(benchmark::State& state) {
 BENCHMARK(BM_FilterScalar)
     ->ArgsProduct({{256, 2048, 8192}, {50, 500, 950}});
 
-/// Vectorized filter: refine the selection vector in place; tuples are
-/// not copied (the sink compaction, when needed, happens once per batch).
+/// Vectorized filter: compact the passing positions into a position
+/// array; tuples are not copied (the sink gathers, when needed, once per
+/// batch).
 void BM_FilterVectorized(benchmark::State& state) {
-  const int64_t batch = state.range(0);
+  const auto batch = static_cast<uint32_t>(state.range(0));
   const double sel = SelectivityArg(state.range(1));
   const std::vector<Tuple> in = MakeBatch(batch, 42);
-  TupleIdList list;
+  std::vector<uint32_t> ids(batch);
   for (auto _ : state) {
-    list.Resize(static_cast<uint32_t>(batch));
-    list.AddAll();
-    list.Refine([&](uint32_t id) {
-      return storage::FilterPasses(in[id].rowid, kFilterNode, sel);
-    });
-    benchmark::DoNotOptimize(list.Count());
+    uint32_t n = 0;
+    for (uint32_t i = 0; i < batch; ++i) {
+      if (storage::FilterPasses(in[i].rowid, kFilterNode, sel)) ids[n++] = i;
+    }
+    benchmark::DoNotOptimize(ids.data());
+    benchmark::DoNotOptimize(n);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }

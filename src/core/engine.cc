@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <array>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -210,6 +211,11 @@ Status EngineConfig::Validate() const {
   // Below 1 a fresh planning snapshot could already signal a change.
   if (!(comm.rate_change_ratio >= 1.0)) {
     return Status::InvalidArgument("rate change ratio must be >= 1");
+  }
+  // A NaN threshold would silently disable degradation (bmi > NaN never
+  // holds).
+  if (std::isnan(strategy.dqs.bmt)) {
+    return Status::InvalidArgument("bmt must be a number");
   }
   return Status::Ok();
 }

@@ -41,10 +41,10 @@ struct EngineConfig {
   bool verify_results = true;
   /// Operator kernels (vectorized by default; scalar for A/B runs).
   exec::KernelConfig kernels;
-  /// Result cache (DESIGN.md §14). The mediator wires a fresh cache per
-  /// run; the multi-query and fleet drivers (one per shard) keep theirs
-  /// across Execute calls, and epoch gating keeps every single run
-  /// byte-identical to cache=off on all non-wall metrics but CacheStats.
+  /// Result cache (DESIGN.md §14). The multi-query and fleet drivers (one
+  /// per shard) keep theirs across Execute calls, and epoch gating keeps
+  /// every single run byte-identical to cache=off on all non-wall metrics
+  /// but CacheStats. The single-query mediator has none and refuses it.
   CacheConfig cache;
 
   /// The checks every driver's Create runs first.

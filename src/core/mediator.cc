@@ -16,6 +16,13 @@ Result<Mediator> Mediator::Create(wrapper::Catalog catalog, plan::Plan plan,
   if (config.query_deadline < 0) {
     return Status::InvalidArgument("query deadline must be >= 0");
   }
+  // Each run has its own context, so a cache could only ever serve the
+  // run that filled it, which epoch gating forbids: it would never hit.
+  if (config.cache.enabled) {
+    return Status::InvalidArgument(
+        "the single-query mediator has no result cache; use the "
+        "multi-query or fleet driver");
+  }
   // Arm the failure detector exactly when a source can misbehave: with no
   // schedule anywhere, every fault code path stays dormant and the run is
   // bit-identical to a build without the fault layer.
@@ -65,18 +72,9 @@ Result<Mediator::TracedExecution> Mediator::ExecuteWithOptions(
   exec::ExecContext ctx(&config_.cost, config_.comm,
                         config_.memory_budget_bytes);
   SetupContext(ctx);
-
-  // Per-run cache (see EngineConfig::cache): fresh, so the run is always
-  // cold — epoch gating keeps its own admissions invisible — and Execute's
-  // determinism contract holds with caching on or off.
-  CacheManager run_cache(config_.cache);
-  CacheManager* const cache = config_.cache.enabled ? &run_cache : nullptr;
-  CacheRunScope cache_run(cache, &ctx.memory, /*begin_run=*/true);
-
   ExecutionOptions options = OptionsFor(kind);
   options.trace = trace;
   options.kernels = config_.kernels;
-  options.cache = cache;
   ExecutionState state(&query_.compiled, &ctx, options);
   StrategyConfig strategy = config_.strategy;
   if (config_.query_deadline > 0) {
@@ -85,10 +83,6 @@ Result<Mediator::TracedExecution> Mediator::ExecuteWithOptions(
   Result<ExecutionMetrics> metrics = RunStrategy(kind, state, ctx, strategy);
   if (!metrics.ok()) return metrics.status();
   DQS_RETURN_IF_ERROR(Verify(*metrics, StrategyName(kind)));
-  if (cache != nullptr) {
-    run_cache.AdmitQuery(state, ctx, !metrics->fault.partial_result);
-    metrics->cache = run_cache.stats();
-  }
   TracedExecution out;
   out.metrics = std::move(metrics.value());
   out.trace = std::move(state.trace());

@@ -220,11 +220,13 @@ constexpr uint32_t kProbePrefetchDistance = 8;
 
 }  // namespace
 
-// Batch-at-a-time kernels. Filters refine a selection vector in place
-// (no intermediate materialization); probes run as a vectorized
-// hash+count pass followed by an expansion pass into a pre-sized buffer;
-// sinks take one contiguous span. Charges are accumulated against the
-// canonical op order with the exact counts the scalar kernels produce.
+// Batch-at-a-time kernels. The selection is a position array: `ids`
+// lists the surviving positions of `cur` in ascending order, and a null
+// `ids` selects all `n_sel`. Filters compact the positions in place (no
+// intermediate materialization); probes run as a vectorized hash+count
+// pass followed by an expansion pass into a pre-sized buffer; sinks take
+// one contiguous span. Charges are accumulated against the canonical op
+// order with the exact counts the scalar kernels produce.
 Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
     ExecContext& ctx, const ChainSource::PopResult& pop) {
   int64_t instr = 0;
@@ -238,11 +240,9 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
   instr += pop.count * ctx.cost->instr_move_tuple;
 
   KernelScratch& scratch = ctx.scratch;
-  TupleIdList& sel = scratch.sel;
   const storage::Tuple* cur = pop.data;
-  int64_t cur_n = pop.count;
-  sel.Resize(static_cast<uint32_t>(pop.count));
-  sel.AddAll();
+  const uint32_t* ids = nullptr;
+  uint32_t n_sel = static_cast<uint32_t>(pop.count);
   std::vector<storage::Tuple>* out = &scratch.work_a;
   std::vector<storage::Tuple>* spare = &scratch.work_b;
 
@@ -252,11 +252,22 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
     const plan::ChainOp& op = spec_.ops[oi];
     if (op.kind == plan::ChainOpKind::kFilter) {
       // Each filter charges a move per tuple entering it, exactly like the
-      // scalar kernels (fused or not), then refines the selection in place.
-      instr += static_cast<int64_t>(sel.Count()) * ctx.cost->instr_move_tuple;
-      sel.Refine([&](uint32_t id) {
-        return storage::FilterPasses(cur[id].rowid, op.node, op.selectivity);
-      });
+      // scalar kernels (fused or not), then compacts the passing positions
+      // into sel_ids in place (a set `ids` already lives there and fits,
+      // so the grow below never moves it). A filter that keeps every
+      // position leaves `ids` null.
+      instr += static_cast<int64_t>(n_sel) * ctx.cost->instr_move_tuple;
+      if (scratch.sel_ids.size() < n_sel) scratch.sel_ids.resize(n_sel);
+      uint32_t* kept = scratch.sel_ids.data();
+      uint32_t n_kept = 0;
+      for (uint32_t i = 0; i < n_sel; ++i) {
+        const uint32_t id = ids ? ids[i] : i;
+        if (storage::FilterPasses(cur[id].rowid, op.node, op.selectivity)) {
+          kept[n_kept++] = id;
+        }
+      }
+      if (ids != nullptr || n_kept < n_sel) ids = kept;
+      n_sel = n_kept;
       continue;
     }
 
@@ -268,10 +279,8 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
     const HashIndex& index = operand.index();
     const size_t key_field = static_cast<size_t>(op.probe_key_field);
 
-    const uint32_t n_sel = sel.Count();
     instr += static_cast<int64_t>(n_sel) * ctx.cost->instr_hash_probe;
-    if (scratch.sel_ids.size() < n_sel) {
-      scratch.sel_ids.resize(n_sel);
+    if (scratch.probe_keys.size() < n_sel) {
       scratch.probe_keys.resize(n_sel);
       scratch.probe_pos.resize(n_sel);
       scratch.match_counts.resize(n_sel);
@@ -279,13 +288,6 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
     int64_t* keys = scratch.probe_keys.data();
     uint64_t* pos = scratch.probe_pos.data();
     uint32_t* counts = scratch.match_counts.data();
-    // With a full selection the ids are the identity — probe `cur`
-    // directly instead of materializing 0..n-1.
-    const uint32_t* ids = nullptr;
-    if (!sel.Full()) {
-      sel.Materialize(scratch.sel_ids.data());
-      ids = scratch.sel_ids.data();
-    }
 
     // Pass 1: gather keys and hash every probe up front, then count each
     // probe's matches in its bucket with the prefetcher running
@@ -330,24 +332,21 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
                   static_cast<long long>(off),
                   static_cast<long long>(total_matches));
     cur = dst;
-    cur_n = total_matches;
-    sel.Resize(static_cast<uint32_t>(total_matches));
-    sel.AddAll();
+    ids = nullptr;
+    n_sel = static_cast<uint32_t>(total_matches);
     std::swap(out, spare);
   }
 
-  // Sink delivery. Trailing filters leave a partial selection; compact it
+  // Sink delivery. Filters that dropped positions leave `ids` set; gather
   // once so every sink receives one contiguous span (the common filterless
   // tail is zero-copy).
-  int64_t out_n = cur_n;
-  if (!sel.Full()) {
-    out_n = sel.Count();
-    GrowTuples(out, out_n);
+  if (ids != nullptr) {
+    GrowTuples(out, n_sel);
     storage::Tuple* dst = out->data();
-    int64_t k = 0;
-    sel.ForEach([&](uint32_t id) { dst[k++] = cur[id]; });
+    for (uint32_t i = 0; i < n_sel; ++i) dst[i] = cur[ids[i]];
     cur = dst;
   }
+  const int64_t out_n = n_sel;
   instr += out_n * ctx.cost->instr_move_tuple;
   ctx.ChargeInstr(instr);
   switch (spec_.sink) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "comm/comm_manager.h"
-#include "exec/tuple_id_list.h"
 #include "sim/cost_model.h"
 #include "sim/disk.h"
 #include "sim/network.h"
@@ -60,8 +59,7 @@ struct KernelScratch {
   std::vector<storage::Tuple> in;      // a temp read (live pops are spans)
   std::vector<storage::Tuple> work_a;  // operator outputs, alternating
   std::vector<storage::Tuple> work_b;
-  TupleIdList sel;
-  std::vector<uint32_t> sel_ids;
+  std::vector<uint32_t> sel_ids;  // the filters' surviving positions
   std::vector<int64_t> probe_keys;
   std::vector<uint64_t> probe_pos;  // a probe's bucket, then first match
   std::vector<uint32_t> match_counts;

@@ -83,7 +83,7 @@ Status Plan::Validate(const wrapper::Catalog& catalog) const {
         break;
       case OpType::kFilter: {
         DQS_RETURN_IF_ERROR(check_child(n.id, n.input, "filter"));
-        if (n.selectivity < 0.0 || n.selectivity > 1.0) {
+        if (!(n.selectivity >= 0.0 && n.selectivity <= 1.0)) {
           return Status::InvalidArgument("filter node " +
                                          std::to_string(n.id) +
                                          " selectivity out of [0,1]");

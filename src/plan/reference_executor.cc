@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "exec/hash_index.h"
-#include "exec/tuple_id_list.h"
 
 namespace dqsched::plan {
 
@@ -18,10 +17,9 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
   std::vector<exec::HashIndex> indexes(
       static_cast<size_t>(compiled.num_joins));
 
-  // The oracle runs the same batch-at-a-time kernels as the executor —
-  // selection-vector filters and two-pass probes — just over whole
-  // relations instead of batches, with no charging.
-  exec::TupleIdList sel;
+  // The oracle filters tuple at a time and probes with the executor's
+  // two-pass count/expand kernel, over whole relations instead of
+  // batches, with no charging.
   std::vector<uint64_t> first;
   std::vector<uint32_t> counts;
 
@@ -38,17 +36,13 @@ ReferenceResult ExecuteReference(const CompiledPlan& compiled,
     for (const ChainOp& op : chain.ops) {
       std::vector<Tuple> next;
       switch (op.kind) {
-        case ChainOpKind::kFilter: {
-          sel.Resize(static_cast<uint32_t>(cur.size()));
-          sel.AddAll();
-          sel.Refine([&](uint32_t i) {
-            return storage::FilterPasses(cur[i].rowid, op.node,
-                                         op.selectivity);
-          });
-          next.reserve(sel.Count());
-          sel.ForEach([&](uint32_t i) { next.push_back(cur[i]); });
+        case ChainOpKind::kFilter:
+          for (const Tuple& t : cur) {
+            if (storage::FilterPasses(t.rowid, op.node, op.selectivity)) {
+              next.push_back(t);
+            }
+          }
           break;
-        }
         case ChainOpKind::kProbe: {
           const auto& index = indexes[static_cast<size_t>(op.join)];
           const size_t key_field =

@@ -22,12 +22,13 @@ SimDuration CostModel::MinWaitingTime() const {
   return static_cast<SimDuration>(read + wire + msg);
 }
 
+// The floating-point checks are written so that NaN fails them.
 Status CostModel::Validate() const {
-  if (cpu_mips <= 0) return Status::InvalidArgument("cpu_mips must be > 0");
-  if (disk_transfer_mb_s <= 0) {
+  if (!(cpu_mips > 0)) return Status::InvalidArgument("cpu_mips must be > 0");
+  if (!(disk_transfer_mb_s > 0)) {
     return Status::InvalidArgument("disk_transfer_mb_s must be > 0");
   }
-  if (network_mb_s <= 0) {
+  if (!(network_mb_s > 0)) {
     return Status::InvalidArgument("network_mb_s must be > 0");
   }
   if (tuple_size_bytes <= 0 || page_size_bytes <= 0) {
@@ -45,7 +46,7 @@ Status CostModel::Validate() const {
   if (io_cache_pages < 0 || num_disks <= 0) {
     return Status::InvalidArgument("io_cache_pages/num_disks invalid");
   }
-  if (disk_latency_ms < 0 || disk_seek_ms < 0) {
+  if (!(disk_latency_ms >= 0) || !(disk_seek_ms >= 0)) {
     return Status::InvalidArgument("disk positioning times must be >= 0");
   }
   if (instr_per_io < 0 || instr_move_tuple < 0 || instr_hash_probe < 0 ||

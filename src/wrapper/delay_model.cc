@@ -20,18 +20,20 @@ const char* DelayKindName(DelayKind kind) {
   return "unknown";
 }
 
+// Each check is written so that NaN fails it: the models cast these
+// values to integer nanoseconds.
 Status DelayConfig::Validate() const {
-  if (mean_us < 0) return Status::InvalidArgument("mean_us must be >= 0");
-  if (initial_delay_ms < 0) {
+  if (!(mean_us >= 0)) return Status::InvalidArgument("mean_us must be >= 0");
+  if (!(initial_delay_ms >= 0)) {
     return Status::InvalidArgument("initial_delay_ms must be >= 0");
   }
   if (kind == DelayKind::kBursty && burst_length <= 0) {
     return Status::InvalidArgument("burst_length must be > 0");
   }
-  if (burst_gap_ms < 0) {
+  if (!(burst_gap_ms >= 0)) {
     return Status::InvalidArgument("burst_gap_ms must be >= 0");
   }
-  if (kind == DelayKind::kSlow && slow_factor < 1.0) {
+  if (kind == DelayKind::kSlow && !(slow_factor >= 1.0)) {
     return Status::InvalidArgument("slow_factor must be >= 1");
   }
   return Status::Ok();

@@ -39,7 +39,7 @@ Status FaultSpec::Validate() const {
       if (backoff_initial <= 0) {
         return Status::InvalidArgument("fault backoff_initial must be > 0");
       }
-      if (backoff_jitter < 0.0 || backoff_jitter >= 1.0) {
+      if (!(backoff_jitter >= 0.0 && backoff_jitter < 1.0)) {
         return Status::InvalidArgument("fault backoff_jitter must be in [0, 1)");
       }
       break;
@@ -94,13 +94,13 @@ bool ParseStormKind(const std::string& name, StormKind* out) {
 
 Status StormConfig::Validate() const {
   if (kind == StormKind::kNone) return Status::Ok();
-  if (region_fraction <= 0.0 || region_fraction > 1.0) {
+  if (!(region_fraction > 0.0 && region_fraction <= 1.0)) {
     return Status::InvalidArgument("storm region_fraction must be in (0, 1]");
   }
   if (onset < 0) {
     return Status::InvalidArgument("storm onset must be >= 0");
   }
-  if (jitter < 0.0 || jitter >= 1.0) {
+  if (!(jitter >= 0.0 && jitter < 1.0)) {
     return Status::InvalidArgument("storm jitter must be in [0, 1)");
   }
   switch (kind) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dqsched::sim {
 namespace {
 
@@ -94,6 +96,15 @@ TEST(CostModel, ValidationCatchesBadValues) {
   cm = CostModel{};
   cm.instr_move_tuple = -5;
   EXPECT_FALSE(cm.Validate().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double CostModel::*field :
+       {&CostModel::cpu_mips, &CostModel::disk_latency_ms,
+        &CostModel::disk_seek_ms, &CostModel::disk_transfer_mb_s,
+        &CostModel::network_mb_s}) {
+    cm = CostModel{};
+    cm.*field = nan;
+    EXPECT_FALSE(cm.Validate().ok());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dqsched::wrapper {
 namespace {
 
@@ -131,6 +133,23 @@ TEST(DelayConfig, Validation) {
   EXPECT_FALSE(bad.Validate().ok());
   bad = ok;
   bad.initial_delay_ms = -1;
+  EXPECT_FALSE(bad.Validate().ok());
+  // NaN fails every check instead of reaching the models' integer casts.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = ok;
+  bad.mean_us = nan;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.kind = DelayKind::kInitial;
+  bad.initial_delay_ms = nan;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.kind = DelayKind::kBursty;
+  bad.burst_gap_ms = nan;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.kind = DelayKind::kSlow;
+  bad.slow_factor = nan;
   EXPECT_FALSE(bad.Validate().ok());
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -95,6 +96,10 @@ TEST(FaultScheduleValidation, RejectsBadSpecs) {
                    .ok());
   EXPECT_FALSE(DisconnectAt(0, false, 1, 0, 0.0).Validate().ok());
   EXPECT_FALSE(DisconnectAt(0, false, 1, Milliseconds(1), 1.0)
+                   .Validate()
+                   .ok());
+  EXPECT_FALSE(DisconnectAt(0, false, 1, Milliseconds(1),
+                            std::numeric_limits<double>::quiet_NaN())
                    .Validate()
                    .ok());
   EXPECT_TRUE(DeathAt(0).Validate().ok());

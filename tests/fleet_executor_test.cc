@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -259,6 +260,14 @@ TEST(FleetExecutor, CreateValidates) {
   bad = SmallConfig();
   bad.comm.rate_change_ratio = 0.5;
   EXPECT_FALSE(FleetExecutor::Create(TinyTemplates(), Stream(2), bad).ok());
+  for (double wrapper::StormConfig::*field :
+       {&wrapper::StormConfig::region_fraction,
+        &wrapper::StormConfig::jitter}) {
+    bad = SmallConfig();
+    bad.storm.kind = wrapper::StormKind::kRegionOutage;
+    bad.storm.*field = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(FleetExecutor::Create(TinyTemplates(), Stream(2), bad).ok());
+  }
   // The fleet injects faults only through FleetConfig::storm; a catalog
   // schedule is refused instead of silently dropped.
   std::vector<plan::QuerySetup> faulty = TinyTemplates();

@@ -1,9 +1,10 @@
 // Scalar-vs-vectorized kernel determinism: the batch-at-a-time kernels
-// (selection vectors, two-pass probes, bulk sinks) must produce
+// (position-array selections, two-pass probes, bulk sinks) must produce
 // ExecutionMetrics byte-identical to the tuple-at-a-time reference
 // kernels on every non-wall field — DESIGN §10's canonical-charge-order
 // contract. Every strategy plus scrambling runs, under rate drift, on the
-// paper's fig6/fig7 setups, a stacked-multi-filter variant, and a random
+// paper's fig6/fig7 setups, a stacked-multi-filter variant, a variant
+// with filters above joins and filters that keep every tuple, and a random
 // bushy plan with one filter on every scan.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <utility>
 
 #include "core/mediator.h"
+#include "expect_identical.h"
 #include "plan/canonical_plans.h"
 #include "plan/query_generator.h"
 
@@ -21,6 +23,7 @@ enum class Setup {
   kFig6SlowA,
   kFig7SlowF,
   kStackedFiltersSlowA,
+  kFiltersAboveJoinsSlowA,
   kOneFilterPerScanSlowR0,
 };
 
@@ -65,6 +68,41 @@ plan::QuerySetup StackedFilterSetup(double scale) {
   return q;
 }
 
+// The fig5 query with filters where the kernels' selections differ from
+// a plain scan filter: selectivity-1.0 filters that keep every tuple on A
+// (trailing into an operand sink) and on D (feeding probe J3), and filters
+// above joins, which compile in behind a probe — on J1's output (trailing
+// into J2's operand sink), on J3's output (mid-chain, feeding probe J4)
+// and on J5's output (trailing into the result sink).
+plan::QuerySetup FiltersAboveJoinsSetup(double scale) {
+  plan::QuerySetup q = plan::PaperFigure5Query(scale);
+  plan::Plan p;
+  const NodeId scan_a = p.AddScan(0);
+  const NodeId scan_b = p.AddScan(1);
+  const NodeId scan_c = p.AddScan(2);
+  const NodeId scan_d = p.AddScan(3);
+  const NodeId scan_e = p.AddScan(4);
+  const NodeId scan_f = p.AddScan(5);
+  const NodeId a = p.AddFilter(scan_a, 1.0);
+  const NodeId d = p.AddFilter(scan_d, 1.0);
+  const NodeId j1 = p.AddHashJoin(a, scan_b, /*build_field=*/0,
+                                  /*probe_field=*/0);
+  const NodeId j1f = p.AddFilter(j1, 0.6);
+  const NodeId j2 = p.AddHashJoin(j1f, scan_f, /*build_field=*/1,
+                                  /*probe_field=*/0);
+  const NodeId j3 = p.AddHashJoin(scan_e, d, /*build_field=*/0,
+                                  /*probe_field=*/0);
+  const NodeId j3f = p.AddFilter(j3, 0.5);
+  const NodeId j4 = p.AddHashJoin(j2, j3f, /*build_field=*/1,
+                                  /*probe_field=*/1);
+  const NodeId j5 = p.AddHashJoin(j4, scan_c, /*build_field=*/2,
+                                  /*probe_field=*/0);
+  p.SetRoot(p.AddFilter(j5, 0.7));
+  EXPECT_TRUE(p.Validate(q.catalog).ok());
+  q.plan = std::move(p);
+  return q;
+}
+
 // A random bushy plan over six sources with a filter on every scan: each
 // filter is a one-term run, feeding a probe (the scalar kernels' fused
 // filter -> probe path) or an operand sink directly.
@@ -85,6 +123,8 @@ plan::QuerySetup SetupFor(Setup which) {
   switch (which) {
     case Setup::kStackedFiltersSlowA:
       return StackedFilterSetup(/*scale=*/0.05);
+    case Setup::kFiltersAboveJoinsSlowA:
+      return FiltersAboveJoinsSetup(/*scale=*/0.05);
     case Setup::kOneFilterPerScanSlowR0:
       return OneFilterPerScanSetup();
     default:
@@ -104,37 +144,6 @@ Mediator MakeMediator(Setup which, bool scalar) {
                                         BaseConfig(scalar));
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   return std::move(m.value());
-}
-
-void ExpectIdentical(const ExecutionMetrics& a, const ExecutionMetrics& b,
-                     const char* label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.response_time, b.response_time);
-  EXPECT_EQ(a.busy_time, b.busy_time);
-  EXPECT_EQ(a.stalled_time, b.stalled_time);
-  EXPECT_EQ(a.result_count, b.result_count);
-  EXPECT_EQ(a.result_checksum, b.result_checksum);
-  EXPECT_EQ(a.planning_phases, b.planning_phases);
-  EXPECT_EQ(a.execution_phases, b.execution_phases);
-  EXPECT_EQ(a.degradations, b.degradations);
-  EXPECT_EQ(a.cf_activations, b.cf_activations);
-  EXPECT_EQ(a.dqo_splits, b.dqo_splits);
-  EXPECT_EQ(a.operand_spills, b.operand_spills);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.rate_change_events, b.rate_change_events);
-  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
-  EXPECT_EQ(a.disk.pages_read, b.disk.pages_read);
-  EXPECT_EQ(a.disk.pages_written, b.disk.pages_written);
-  EXPECT_EQ(a.disk.positionings, b.disk.positionings);
-  EXPECT_EQ(a.disk.io_calls, b.disk.io_calls);
-  EXPECT_EQ(a.disk.busy, b.disk.busy);
-  EXPECT_EQ(a.network.tuples_received, b.network.tuples_received);
-  EXPECT_EQ(a.network.messages_received, b.network.messages_received);
-  EXPECT_EQ(a.network.receive_cpu, b.network.receive_cpu);
-  EXPECT_EQ(a.temps.temps_created, b.temps.temps_created);
-  EXPECT_EQ(a.temps.tuples_written, b.temps.tuples_written);
-  EXPECT_EQ(a.temps.tuples_read, b.temps.tuples_read);
-  EXPECT_EQ(a.temps.cache_served_reads, b.temps.cache_served_reads);
 }
 
 class KernelEquivalence : public ::testing::TestWithParam<Setup> {};
@@ -164,6 +173,7 @@ INSTANTIATE_TEST_SUITE_P(Setups, KernelEquivalence,
                          ::testing::Values(Setup::kFig6SlowA,
                                            Setup::kFig7SlowF,
                                            Setup::kStackedFiltersSlowA,
+                                           Setup::kFiltersAboveJoinsSlowA,
                                            Setup::kOneFilterPerScanSlowR0),
                          [](const auto& info) {
                            switch (info.param) {
@@ -173,6 +183,8 @@ INSTANTIATE_TEST_SUITE_P(Setups, KernelEquivalence,
                                return "Fig7SlowF";
                              case Setup::kStackedFiltersSlowA:
                                return "StackedFiltersSlowA";
+                             case Setup::kFiltersAboveJoinsSlowA:
+                               return "FiltersAboveJoinsSlowA";
                              default:
                                return "OneFilterPerScanSlowR0";
                            }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/lwb.h"
 #include "core/mediator.h"
 #include "plan/canonical_plans.h"
@@ -62,6 +64,27 @@ TEST(Mediator, CreateValidatesConfig) {
   config = MediatorConfig{};
   config.comm.rate_change_ratio = 0.5;
   EXPECT_FALSE(Mediator::Create(setup.catalog, setup.plan, config).ok());
+  // NaN fails the checks instead of reaching an integer cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  config = MediatorConfig{};
+  config.cost.cpu_mips = nan;
+  EXPECT_FALSE(Mediator::Create(setup.catalog, setup.plan, config).ok());
+  config = MediatorConfig{};
+  config.strategy.dqs.bmt = nan;
+  EXPECT_FALSE(Mediator::Create(setup.catalog, setup.plan, config).ok());
+  auto slowed = setup;
+  slowed.catalog.sources[0].delay.kind = wrapper::DelayKind::kSlow;
+  slowed.catalog.sources[0].delay.slow_factor = nan;
+  EXPECT_FALSE(
+      Mediator::Create(slowed.catalog, slowed.plan, MediatorConfig{}).ok());
+  // A per-run cache could never hit (epoch gating hides the run's own
+  // admissions), so the mediator refuses one.
+  config = MediatorConfig{};
+  config.cache.enabled = true;
+  const Result<Mediator> cached =
+      Mediator::Create(setup.catalog, setup.plan, config);
+  ASSERT_FALSE(cached.ok());
+  EXPECT_EQ(cached.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Mediator, CreateValidatesPlan) {

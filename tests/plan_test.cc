@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "plan/canonical_plans.h"
 
 namespace dqsched::plan {
@@ -87,6 +89,10 @@ TEST(PlanValidation, RejectsBadSelectivity) {
   Plan plan;
   plan.SetRoot(plan.AddFilter(plan.AddScan(0), 1.5));
   EXPECT_FALSE(plan.Validate(TwoSourceCatalog()).ok());
+  Plan nan_plan;
+  nan_plan.SetRoot(nan_plan.AddFilter(
+      nan_plan.AddScan(0), std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(nan_plan.Validate(TwoSourceCatalog()).ok());
 }
 
 TEST(PlanValidation, RejectsKeyFieldOutOfRange) {

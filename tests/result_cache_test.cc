@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "core/fleet_executor.h"
-#include "core/mediator.h"
 #include "core/multi_query.h"
 #include "fnv1a.h"
 #include "plan/canonical_plans.h"
@@ -541,34 +540,34 @@ TEST(ResultCacheLifecycle, CancelledQueriesAdmitNothing) {
   EXPECT_LE(warm->cache.result_hits, 10);
 }
 
-TEST(ResultCacheLifecycle, PartialMediatorRunAdmitsNoResultDigest) {
-  // Single mediator, a source death abandoned under the partial-results
-  // policy: the incomplete result digest must not be cached (segments of
-  // cleanly completed MFs may be).
-  MediatorConfig config;
-  config.seed = 42;
-  config.cache.enabled = true;
-  {
-    const plan::QuerySetup setup = plan::TinyTwoSourceQuery();
-    auto mediator = Mediator::Create(setup.catalog, setup.plan, config);
-    ASSERT_TRUE(mediator.ok());
-    auto healthy = mediator->Execute(StrategyKind::kDse);
-    ASSERT_TRUE(healthy.ok());
-    EXPECT_FALSE(healthy->fault.partial_result);
-    EXPECT_EQ(healthy->cache.admitted_results, 1);
+TEST(ResultCacheLifecycle, PartialFleetRunAdmitsNoResultDigest) {
+  // Fleet: source A of every query stays silent past the failure
+  // detector's patience, is declared dead and abandoned, and each query
+  // finishes partial. An incomplete result digest must not be cached
+  // (segments of cleanly completed MFs may be); the same stream without
+  // the silence admits one digest per query.
+  for (const bool silent : {false, true}) {
+    SCOPED_TRACE(silent ? "silent A" : "healthy");
+    plan::QuerySetup setup = plan::TinyTwoSourceQuery(800, 1200);
+    if (silent) {
+      setup.catalog.sources[0].delay.kind = wrapper::DelayKind::kInitial;
+      setup.catalog.sources[0].delay.initial_delay_ms = 2000.0;
+    }
+    std::vector<plan::QuerySetup> templates;
+    templates.push_back(std::move(setup));
+    std::vector<FleetQuerySpec> workload(3);
+    for (int i = 0; i < 3; ++i) workload[i].arrival = Milliseconds(5.0 * i);
+    FleetConfig config = CachingConfig();
+    config.comm.failure_detection = true;
+    auto fleet = FleetExecutor::Create(std::move(templates), workload, config);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    auto r = fleet->Execute(StrategyKind::kDse, 2);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryStatus expected =
+        silent ? QueryStatus::kPartial : QueryStatus::kOk;
+    EXPECT_EQ(r->status_counts[static_cast<size_t>(expected)], 3);
+    EXPECT_EQ(r->cache.admitted_results, silent ? 0 : 3);
   }
-  plan::QuerySetup setup = plan::TinyTwoSourceQuery();
-  wrapper::FaultSpec death;
-  death.kind = wrapper::FaultKind::kDeath;
-  death.at_tuple = 500;
-  setup.catalog.sources[0].faults.events = {death};
-  config.strategy.fault.partial_results = true;
-  auto mediator = Mediator::Create(setup.catalog, setup.plan, config);
-  ASSERT_TRUE(mediator.ok());
-  auto partial = mediator->Execute(StrategyKind::kDse);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  ASSERT_TRUE(partial->fault.partial_result);
-  EXPECT_EQ(partial->cache.admitted_results, 0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/mediator.h"
+#include "expect_identical.h"
 #include "plan/canonical_plans.h"
 
 namespace dqsched::core {
@@ -37,37 +38,6 @@ Mediator MakeMediator(Setup which, bool serial) {
                                         BaseConfig(serial));
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   return std::move(m.value());
-}
-
-void ExpectIdentical(const ExecutionMetrics& a, const ExecutionMetrics& b,
-                     const char* label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.response_time, b.response_time);
-  EXPECT_EQ(a.busy_time, b.busy_time);
-  EXPECT_EQ(a.stalled_time, b.stalled_time);
-  EXPECT_EQ(a.result_count, b.result_count);
-  EXPECT_EQ(a.result_checksum, b.result_checksum);
-  EXPECT_EQ(a.planning_phases, b.planning_phases);
-  EXPECT_EQ(a.execution_phases, b.execution_phases);
-  EXPECT_EQ(a.degradations, b.degradations);
-  EXPECT_EQ(a.cf_activations, b.cf_activations);
-  EXPECT_EQ(a.dqo_splits, b.dqo_splits);
-  EXPECT_EQ(a.operand_spills, b.operand_spills);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.rate_change_events, b.rate_change_events);
-  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
-  EXPECT_EQ(a.disk.pages_read, b.disk.pages_read);
-  EXPECT_EQ(a.disk.pages_written, b.disk.pages_written);
-  EXPECT_EQ(a.disk.positionings, b.disk.positionings);
-  EXPECT_EQ(a.disk.io_calls, b.disk.io_calls);
-  EXPECT_EQ(a.disk.busy, b.disk.busy);
-  EXPECT_EQ(a.network.tuples_received, b.network.tuples_received);
-  EXPECT_EQ(a.network.messages_received, b.network.messages_received);
-  EXPECT_EQ(a.network.receive_cpu, b.network.receive_cpu);
-  EXPECT_EQ(a.temps.temps_created, b.temps.temps_created);
-  EXPECT_EQ(a.temps.tuples_written, b.temps.tuples_written);
-  EXPECT_EQ(a.temps.tuples_read, b.temps.tuples_read);
-  EXPECT_EQ(a.temps.cache_served_reads, b.temps.cache_served_reads);
 }
 
 class TransportDeterminism : public ::testing::TestWithParam<Setup> {};

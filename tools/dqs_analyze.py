@@ -178,8 +178,8 @@ BREAKER_NAMES = {"CircuitBreaker", "BreakerPanel"}
 # and the blessed integration sites — the two scheduler touchpoints
 # (plan-time segment hits in dqs.cc, result-digest hits via the shared
 # loop / execution state), the engine core whose shared config carries
-# the CacheConfig, and the three drivers that own a CacheManager's
-# lifetime. Any other file taking a cache dependency would add an
+# the CacheConfig, and the two drivers that own a CacheManager's
+# lifetime (the single-query mediator has no cache). Any other file taking a cache dependency would add an
 # unreviewed hit point outside the epoch-gating argument.
 CACHE_BLESSED = {
     "storage/result_cache.h", "storage/result_cache.cc",
@@ -188,7 +188,6 @@ CACHE_BLESSED = {
     "core/execution_state.h",
     "core/shared_loop.h",
     "core/engine.h",
-    "core/mediator.h", "core/mediator.cc",
     "core/multi_query.h", "core/multi_query.cc",
     "core/fleet_executor.h", "core/fleet_executor.cc",
 }

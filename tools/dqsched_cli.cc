@@ -19,10 +19,13 @@
 //   --trace                           print the DSE decision log + timeline
 //   --csv                             machine-readable table
 
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,12 +53,12 @@ struct CliOptions {
   int repeats = 1;
   bool trace = false;
   bool csv = false;
-  // Per-relation delay overrides: (relation, kind, p1, p2).
+  // Per-relation delay overrides: (relation, kind, factor or ms, length).
   struct DelayOverride {
     std::string relation;
     wrapper::DelayKind kind;
     double p1 = 0;
-    double p2 = 0;
+    int64_t burst_length = 0;
   };
   std::vector<DelayOverride> overrides;
 };
@@ -66,7 +69,32 @@ struct CliOptions {
   std::exit(2);
 }
 
-double ParseDouble(const char* s) { return std::atof(s); }
+/// Reads all of `s`, a number inside flag `arg`, as a finite double;
+/// anything else is a usage error.
+double ParseDouble(const char* argv0, const std::string& arg,
+                   const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || !std::isfinite(v)) {
+    Usage(argv0, (arg + ": '" + s + "' is not a finite number").c_str());
+  }
+  return v;
+}
+
+/// Reads all of `s`, a number inside flag `arg`, as a decimal integer in
+/// [lo, hi]; anything else is a usage error.
+int64_t ParseInt(const char* argv0, const std::string& arg,
+                 const std::string& s,
+                 int64_t lo = std::numeric_limits<int64_t>::min(),
+                 int64_t hi = std::numeric_limits<int64_t>::max()) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (s.empty() || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    Usage(argv0, (arg + ": '" + s + "' is not an integer in range").c_str());
+  }
+  return v;
+}
 
 /// Splits "A:5" / "B:1000:50" on ':'.
 std::vector<std::string> SplitColons(const std::string& s) {
@@ -94,27 +122,30 @@ CliOptions Parse(int argc, char** argv) {
     if (arg.rfind("--query=", 0) == 0) {
       o.query = value("--query=");
     } else if (arg.rfind("--scale=", 0) == 0) {
-      o.scale = ParseDouble(value("--scale="));
+      o.scale = ParseDouble(argv[0], arg, value("--scale="));
     } else if (arg.rfind("--sources=", 0) == 0) {
-      o.sources = std::atoi(value("--sources="));
+      o.sources = static_cast<int>(
+          ParseInt(argv[0], arg, value("--sources="), INT_MIN, INT_MAX));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      o.seed = static_cast<uint64_t>(std::atoll(value("--seed=")));
+      o.seed =
+          static_cast<uint64_t>(ParseInt(argv[0], arg, value("--seed=")));
     } else if (arg.rfind("--w=", 0) == 0) {
-      o.w_us = ParseDouble(value("--w="));
+      o.w_us = ParseDouble(argv[0], arg, value("--w="));
     } else if (arg.rfind("--strategy=", 0) == 0) {
       o.strategy = value("--strategy=");
     } else if (arg.rfind("--memory-mb=", 0) == 0) {
-      o.memory_mb = ParseDouble(value("--memory-mb="));
+      o.memory_mb = ParseDouble(argv[0], arg, value("--memory-mb="));
     } else if (arg.rfind("--bmt=", 0) == 0) {
-      o.bmt = ParseDouble(value("--bmt="));
+      o.bmt = ParseDouble(argv[0], arg, value("--bmt="));
     } else if (arg.rfind("--batch=", 0) == 0) {
-      o.batch = std::atoll(value("--batch="));
+      o.batch = ParseInt(argv[0], arg, value("--batch="));
     } else if (arg.rfind("--queue=", 0) == 0) {
-      o.queue = std::atoll(value("--queue="));
+      o.queue = ParseInt(argv[0], arg, value("--queue="));
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      o.scr_timeout_ms = ParseDouble(value("--timeout-ms="));
+      o.scr_timeout_ms = ParseDouble(argv[0], arg, value("--timeout-ms="));
     } else if (arg.rfind("--repeats=", 0) == 0) {
-      o.repeats = std::atoi(value("--repeats="));
+      o.repeats = static_cast<int>(
+          ParseInt(argv[0], arg, value("--repeats="), INT_MIN, INT_MAX));
     } else if (arg == "--trace") {
       o.trace = true;
     } else if (arg == "--csv") {
@@ -131,15 +162,15 @@ CliOptions Parse(int argc, char** argv) {
       ov.relation = parts[0];
       if (slow) {
         ov.kind = wrapper::DelayKind::kSlow;
-        ov.p1 = ParseDouble(parts[1].c_str());
+        ov.p1 = ParseDouble(argv[0], arg, parts[1]);
       } else if (initial) {
         ov.kind = wrapper::DelayKind::kInitial;
-        ov.p1 = ParseDouble(parts[1].c_str());
+        ov.p1 = ParseDouble(argv[0], arg, parts[1]);
       } else {
         if (parts.size() < 3) Usage(argv[0], "bursty needs REL:LEN:GAPMS");
         ov.kind = wrapper::DelayKind::kBursty;
-        ov.p1 = ParseDouble(parts[1].c_str());
-        ov.p2 = ParseDouble(parts[2].c_str());
+        ov.burst_length = ParseInt(argv[0], arg, parts[1]);
+        ov.p1 = ParseDouble(argv[0], arg, parts[2]);
       }
       o.overrides.push_back(ov);
     } else {
@@ -191,8 +222,8 @@ int main(int argc, char** argv) {
     d.initial_delay_ms =
         ov.kind == wrapper::DelayKind::kInitial ? ov.p1 : 0.0;
     if (ov.kind == wrapper::DelayKind::kBursty) {
-      d.burst_length = static_cast<int64_t>(ov.p1);
-      d.burst_gap_ms = ov.p2;
+      d.burst_length = ov.burst_length;
+      d.burst_gap_ms = ov.p1;
     }
   }
 
