@@ -21,6 +21,13 @@ using SimDuration = int64_t;
 /// Sentinel meaning "no scheduled event" / "never".
 inline constexpr SimTime kSimTimeNever = std::numeric_limits<int64_t>::max();
 
+/// True when `v` converts to int64_t without overflow: within
+/// [-2^63, 2^63). NaN and infinities fail. The conversions below, and any
+/// count of bytes or nanoseconds held in a double, need it.
+inline constexpr bool FitsInt64(double v) {
+  return v >= -9223372036854775808.0 && v < 9223372036854775808.0;
+}
+
 inline constexpr SimDuration Nanoseconds(int64_t n) { return n; }
 inline constexpr SimDuration Microseconds(double us) {
   return static_cast<SimDuration>(us * 1e3);

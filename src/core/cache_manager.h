@@ -129,6 +129,7 @@ class CacheManager {
 
   int64_t resident_bytes() const { return cache_.resident_bytes(); }
   int64_t entries() const { return cache_.entries(); }
+  int64_t borrowed_segments() const { return cache_.borrowed_segments(); }
   /// Counters since the last BeginRun, as the metrics-layer struct.
   CacheStats stats() const;
 

@@ -810,4 +810,12 @@ void FleetExecutor::BumpCacheVersion(int64_t logical_key) const {
   }
 }
 
+int64_t FleetExecutor::BorrowedCacheSegments() const {
+  int64_t n = 0;
+  for (const std::unique_ptr<CacheManager>& c : caches_) {
+    if (c != nullptr) n += c->borrowed_segments();
+  }
+  return n;
+}
+
 }  // namespace dqsched::core

@@ -183,6 +183,10 @@ class FleetExecutor {
   /// shard: cached entries derived from it become stale (lazy eviction on
   /// the next probe). Test/driver hook for source-data churn.
   void BumpCacheVersion(int64_t logical_key) const;
+  /// Cached segments, over every shard, that borrow a run of their source
+  /// relation instead of holding pages (DESIGN.md §5). A host-memory view
+  /// for tests; no virtual result depends on it.
+  int64_t BorrowedCacheSegments() const;
 
  private:
   struct PreparedTemplate {

@@ -116,6 +116,14 @@ SimTime SharedQueryLoop::EarliestArrival() {
     const ExecutionState& state = *other.state;
     for (int f = 0; f < state.num_fragments(); ++f) {
       if (!state.FragmentActive(f)) continue;
+      // A chain rebound to a cached segment reads a temp that reports its
+      // data as due now, but it cannot run before its blockers finish:
+      // counting it would pin every all-starved stall at now for good.
+      const ChainId chain = state.FragmentChain(f);
+      if (f == state.ChainFragment(chain) && state.CacheBound(chain) &&
+          !state.CSchedulable(chain)) {
+        continue;
+      }
       const exec::FragmentRuntime& rt = state.fragment(f);
       q_min = std::min(q_min, rt.NextArrival(*ctx_));
       is_volatile = is_volatile || rt.TimeDependentArrival();

@@ -52,9 +52,10 @@ Result<int64_t> FragmentRuntime::ProcessBatch(ExecContext& ctx,
   DQS_RETURN_IF_ERROR(Open(ctx));
   if (max_tuples <= 0) return static_cast<int64_t>(0);
 
-  // Live batches are spans of the wrapper's relation; temp reads copy into
-  // the context's input buffer, which grows once to the batch size. Either
-  // way the first operator reads the batch where the pop left it.
+  // Live batches and reads of a borrowed temp are spans of the source
+  // relation; reads of a paged temp copy into the context's input buffer,
+  // which grows once to the batch size. Either way the first operator
+  // reads the batch where the pop left it.
   KernelScratch& scratch = ctx.scratch;
   if (scratch.in.size() < static_cast<size_t>(max_tuples)) {
     scratch.in.resize(static_cast<size_t>(max_tuples));
@@ -177,17 +178,20 @@ Result<int64_t> FragmentRuntime::ProcessBatchScalar(
     std::swap(out, spare);
   }
 
-  // Sink delivery.
+  // Sink delivery. A batch no operator rewrote is still relation memory
+  // when the pop was, and the operand or temp may borrow it.
   const int64_t out_n = static_cast<int64_t>(cur_n);
+  const bool in_relation = pop.in_relation && cur == pop.data;
   instr += out_n * ctx.cost->instr_move_tuple;
   ctx.ChargeInstr(instr);
   switch (spec_.sink) {
     case SinkKind::kOperand:
       operands_->Get(spec_.sink_join).Append(ctx, cur, out_n,
-                                             spec_.async_io);
+                                             spec_.async_io, in_relation);
       break;
     case SinkKind::kTemp:
-      ctx.temps.Append(spec_.sink_temp, cur, out_n, spec_.async_io);
+      ctx.temps.Append(spec_.sink_temp, cur, out_n, spec_.async_io,
+                       in_relation);
       break;
     case SinkKind::kResult:
       DQS_CHECK(result_ != nullptr);
@@ -339,7 +343,8 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
 
   // Sink delivery. Filters that dropped positions leave `ids` set; gather
   // once so every sink receives one contiguous span (the common filterless
-  // tail is zero-copy).
+  // tail is zero-copy). A batch that is still the popped span is relation
+  // memory when the pop was, and the operand or temp may borrow it.
   if (ids != nullptr) {
     GrowTuples(out, n_sel);
     storage::Tuple* dst = out->data();
@@ -347,15 +352,17 @@ Result<int64_t> FragmentRuntime::ProcessBatchVectorized(
     cur = dst;
   }
   const int64_t out_n = n_sel;
+  const bool in_relation = pop.in_relation && cur == pop.data;
   instr += out_n * ctx.cost->instr_move_tuple;
   ctx.ChargeInstr(instr);
   switch (spec_.sink) {
     case SinkKind::kOperand:
       operands_->Get(spec_.sink_join).Append(ctx, cur, out_n,
-                                             spec_.async_io);
+                                             spec_.async_io, in_relation);
       break;
     case SinkKind::kTemp:
-      ctx.temps.Append(spec_.sink_temp, cur, out_n, spec_.async_io);
+      ctx.temps.Append(spec_.sink_temp, cur, out_n, spec_.async_io,
+                       in_relation);
       break;
     case SinkKind::kResult:
       DQS_CHECK(result_ != nullptr);

@@ -10,6 +10,7 @@ ChainSource::PopResult QueueSource::Pop(ExecContext& ctx, storage::Tuple*,
   PopResult r;
   r.data = span.data;
   r.count = span.count;
+  r.in_relation = true;
   r.from_temp = false;
   r.ready = ctx.clock.now();
   return r;
@@ -66,21 +67,21 @@ void TempSource::Advance(ExecContext& ctx) {
 ChainSource::PopResult TempSource::Pop(ExecContext& ctx, storage::Tuple* out,
                                        int64_t max) {
   PopResult r;
-  r.data = out;
   r.from_temp = true;
   r.ready = ctx.clock.now();
+  storage::TempRead read;
   if (!async_io_) {
-    r.count = ctx.temps.Read(temp_, cursor_, out, max, /*async_io=*/false,
-                             &r.ready);
-    cursor_ += r.count;
-    return r;
+    read = ctx.temps.Read(temp_, cursor_, out, max, /*async_io=*/false,
+                          &r.ready);
+  } else {
+    Advance(ctx);
+    const int64_t n = std::min(max, ready_upto_ - cursor_);
+    if (n > 0) read = ctx.temps.ReadIssued(temp_, cursor_, out, n);
   }
-  Advance(ctx);
-  r.count = std::min(max, ready_upto_ - cursor_);
-  if (r.count > 0) {
-    ctx.temps.Copy(temp_, cursor_, out, r.count);
-    cursor_ += r.count;
-  }
+  r.data = read.data;
+  r.count = read.count;
+  r.in_relation = read.in_relation;
+  cursor_ += r.count;
   return r;
 }
 

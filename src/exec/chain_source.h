@@ -29,9 +29,13 @@ class ChainSource {
   /// Result of one Pop call.
   struct PopResult {
     /// The batch, read in place: a span of the source relation for live
-    /// input, the caller's `out` buffer for temp reads.
+    /// input and for reads of a borrowed temp, the caller's `out` buffer
+    /// for reads of a paged temp.
     const storage::Tuple* data = nullptr;
     int64_t count = 0;
+    /// True when `data` is a span of a source relation, which outlives
+    /// every store: a sink may keep the pointer instead of a copy.
+    bool in_relation = false;
     /// True when the batch came from a materialized temp: no network
     /// receive cost, and pre-applied leading operators must be skipped.
     bool from_temp = false;

@@ -5,17 +5,17 @@
 namespace dqsched::exec {
 
 void Operand::Append(ExecContext& ctx, const storage::Tuple* data, int64_t n,
-                     bool async_io) {
+                     bool async_io, bool in_relation) {
   DQS_CHECK_MSG(!sealed_, "append to sealed operand %s", name_.c_str());
   if (n <= 0) return;
   cardinality_ += n;
   if (spilled()) {
-    ctx.temps.Append(temp_, data, n, async_io);
+    ctx.temps.Append(temp_, data, n, async_io, in_relation);
     return;
   }
   const int64_t bytes = n * ctx.cost->tuple_size_bytes;
   if (ctx.memory.Grant(bytes).ok()) {
-    tuples_.Append(data, n);
+    tuples_.Append(data, n, in_relation);
     granted_tuple_bytes_ += bytes;
     return;
   }
@@ -25,7 +25,7 @@ void Operand::Append(ExecContext& ctx, const storage::Tuple* data, int64_t n,
   MoveTuplesToTemp(ctx, async_io);
   ctx.memory.Release(granted_tuple_bytes_);
   granted_tuple_bytes_ = 0;
-  ctx.temps.Append(temp_, data, n, async_io);
+  ctx.temps.Append(temp_, data, n, async_io, in_relation);
 }
 
 void Operand::Seal(ExecContext& ctx) {
@@ -111,9 +111,9 @@ void Operand::SpillToDisk(ExecContext& ctx) {
 
 void Operand::MoveTuplesToTemp(ExecContext& ctx, bool async_io) {
   // Page by page: the temp flushes the same chunks at the same points as
-  // one append of the whole run would.
+  // one append of the whole run would. A borrowed run stays borrowed.
   tuples_.ForEachSpan([&](const storage::Tuple* run, int64_t n) {
-    ctx.temps.Append(temp_, run, n, async_io);
+    ctx.temps.Append(temp_, run, n, async_io, tuples_.borrowed());
   });
   tuples_.Clear();
 }

@@ -39,9 +39,11 @@ class Operand {
 
   /// Appends `n` tuples produced by the build chain. Grants memory per
   /// batch; the first failed grant spills everything to a disk temp and
-  /// appends there from then on. Never fails.
+  /// appends there from then on. Never fails. With `in_relation` the
+  /// tuples are a span of a source relation, which the operand (or its
+  /// spill temp) may borrow instead of copying (TuplePages::Append).
   void Append(ExecContext& ctx, const storage::Tuple* data, int64_t n,
-              bool async_io);
+              bool async_io, bool in_relation = false);
 
   /// Freezes the operand; its exact cardinality becomes authoritative.
   void Seal(ExecContext& ctx);
@@ -90,7 +92,8 @@ class Operand {
   void SpillToDisk(ExecContext& ctx);
 
  private:
-  /// Writes the in-memory tuples to the (just created) temp and frees them.
+  /// Writes the in-memory tuples (or their borrowed run) to the (just
+  /// created) temp and frees them.
   void MoveTuplesToTemp(ExecContext& ctx, bool async_io);
 
   JoinId join_;

@@ -138,6 +138,14 @@ void ResultCache::TrimTo(int64_t target_bytes) {
   }
 }
 
+int64_t ResultCache::borrowed_segments() const {
+  int64_t n = 0;
+  for (const auto& [fingerprint, entry] : entries_) {
+    if (entry.is_segment && entry.tuples.borrowed()) ++n;
+  }
+  return n;
+}
+
 void ResultCache::Clear() {
   while (!recency_.empty()) {
     Erase(recency_.begin()->second, /*count_eviction=*/false);

@@ -2,9 +2,11 @@
 // mediator's cross-query cache (DESIGN.md §14).
 //
 // The cache maps a 64-bit plan-fragment fingerprint to either a
-// materialized tuple segment (the pooled pages of a completed MF(p): the
-// source stream with the chain's leading filters pre-applied; evicting it
-// returns the pages to the pool) or a final result digest
+// materialized tuple segment (the tuples of a completed MF(p): the source
+// stream with the chain's leading filters pre-applied — a borrowed run of
+// the source relation when no filter dropped a tuple, pooled pages
+// otherwise; evicting it returns any pages to the pool) or a final result
+// digest
 // (count + order-independent checksum). Entries carry the version hash of
 // the logical sources they were computed from; a lookup whose current
 // version hash differs is a miss and lazily evicts the stale entry —
@@ -122,6 +124,9 @@ class ResultCache {
   int64_t resident_bytes() const { return resident_bytes_; }
   int64_t budget_bytes() const { return budget_bytes_; }
   int64_t entries() const { return static_cast<int64_t>(entries_.size()); }
+  /// Resident segments that hold a borrowed source-relation run instead of
+  /// pages (a host-memory view; no simulated figure depends on it).
+  int64_t borrowed_segments() const;
   const ResultCacheCounters& counters() const { return counters_; }
   /// Zeroes the counters (per-run reporting); entries stay resident.
   void ResetCounters() { counters_ = ResultCacheCounters{}; }

@@ -38,12 +38,12 @@ SimTime TempStore::ChargeIo(TempId id, int64_t pages, bool is_write,
 }
 
 void TempStore::Append(TempId id, const Tuple* data, int64_t n,
-                       bool async_io) {
+                       bool async_io, bool in_relation) {
   if (n <= 0) return;
   TempRel& rel = Get(id);
   DQS_CHECK_MSG(!rel.sealed, "append to sealed temp %d (%s)", id,
                 rel.name.c_str());
-  rel.tuples.Append(data, n);
+  rel.tuples.Append(data, n, in_relation);
   stats_.tuples_written += n;
   // Flush whole chunks behind the write watermark.
   const int64_t chunk_tuples =
@@ -71,8 +71,7 @@ void TempStore::Seal(TempId id) {
 TempId TempStore::AdoptSealed(std::string name, const TuplePages& tuples) {
   const TempId id = Create(std::move(name));
   TempRel& rel = Get(id);
-  tuples.ForEachSpan(
-      [&rel](const Tuple* run, int64_t k) { rel.tuples.Append(run, k); });
+  rel.tuples.AppendAll(tuples);
   rel.flushed_tuples = tuples.size();  // on disk already: adopted segments
                                        // were flushed when first materialized
   rel.sealed = true;
@@ -88,6 +87,8 @@ TuplePages TempStore::TakeTuples(TempId id) {
 
 bool TempStore::IsSealed(TempId id) const { return Get(id).sealed; }
 
+bool TempStore::Borrowed(TempId id) const { return Get(id).tuples.borrowed(); }
+
 int64_t TempStore::Cardinality(TempId id) const {
   const TempRel& rel = Get(id);
   DQS_CHECK_MSG(rel.sealed, "cardinality of unsealed temp %d", id);
@@ -98,18 +99,17 @@ int64_t TempStore::Pages(TempId id) const {
   return cost_->PagesForTuples(Cardinality(id));
 }
 
-int64_t TempStore::Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
-                        bool async_io, SimTime* ready) {
+TempRead TempStore::Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
+                         bool async_io, SimTime* ready) {
   const int64_t n = ChargeRead(id, cursor, max, async_io, ready);
-  Get(id).tuples.CopyOut(cursor, out, n);
-  return n;
+  const TuplePages& tuples = Get(id).tuples;
+  return {tuples.Read(cursor, n, out), n, tuples.borrowed()};
 }
 
 int64_t TempStore::ReadAll(TempId id, TuplePages* out, bool async_io,
                            SimTime* ready) {
   const int64_t n = ChargeRead(id, 0, Cardinality(id), async_io, ready);
-  Get(id).tuples.ForEachSpan(
-      [out](const Tuple* run, int64_t k) { out->Append(run, k); });
+  out->AppendAll(Get(id).tuples);
   return n;
 }
 
@@ -164,13 +164,14 @@ SimTime TempStore::IssueRead(TempId id, int64_t tuples) {
                   /*async_io=*/true);
 }
 
-void TempStore::Copy(TempId id, int64_t cursor, Tuple* out, int64_t n) {
+TempRead TempStore::ReadIssued(TempId id, int64_t cursor, Tuple* out,
+                               int64_t n) {
   TempRel& rel = Get(id);
-  DQS_CHECK_MSG(rel.sealed, "Copy of unsealed temp %d", id);
+  DQS_CHECK_MSG(rel.sealed, "ReadIssued of unsealed temp %d", id);
   DQS_CHECK_MSG(cursor >= 0 && cursor + n <= rel.tuples.size(),
-                "Copy out of range");
-  rel.tuples.CopyOut(cursor, out, n);
+                "ReadIssued out of range");
   stats_.tuples_read += n;
+  return {rel.tuples.Read(cursor, n, out), n, rel.tuples.borrowed()};
 }
 
 void TempStore::Drop(TempId id) {

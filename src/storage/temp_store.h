@@ -8,7 +8,9 @@
 // Simulation note: tuple bytes live in host memory (this is a simulator),
 // but every access is charged to the simulated disk in multi-page chunks.
 // A temp whose total size fits the Table 1 I/O cache (8 pages) is read back
-// for free — it never left the cache.
+// for free — it never left the cache. A temp fed one unfiltered stream
+// borrows that run of its source relation instead of copying it
+// (storage/tuple_pages.h); reads then hand out spans of the relation.
 
 #ifndef DQSCHED_STORAGE_TEMP_STORE_H_
 #define DQSCHED_STORAGE_TEMP_STORE_H_
@@ -45,6 +47,15 @@ struct TempStoreStats {
   }
 };
 
+/// Tuples a temp read hands out: `count` tuples at `data`, which is a span
+/// of the temp's borrowed source-relation run when `in_relation` and the
+/// reader's buffer otherwise.
+struct TempRead {
+  const Tuple* data = nullptr;
+  int64_t count = 0;
+  bool in_relation = false;
+};
+
 /// Manages simulated on-disk temporary relations. Single-threaded; all
 /// methods charge the mediator clock (per-I/O CPU; synchronous I/O waits)
 /// and the shared disk.
@@ -62,39 +73,48 @@ class TempStore {
 
   /// Appends `n` tuples to an unsealed temp. Full chunks are written to the
   /// simulated disk; `async_io` selects write-behind (CPU continues) vs
-  /// synchronous writes (CPU blocks until the arm finishes).
-  void Append(TempId id, const Tuple* data, int64_t n, bool async_io);
+  /// synchronous writes (CPU blocks until the arm finishes). With
+  /// `in_relation` the tuples are a span of a source relation, which the
+  /// temp may borrow instead of copying (TuplePages::Append).
+  void Append(TempId id, const Tuple* data, int64_t n, bool async_io,
+              bool in_relation = false);
 
   /// Flushes any buffered remainder and freezes the cardinality. Reading is
   /// only allowed on sealed temps.
   void Seal(TempId id);
 
-  /// Materializes a pre-sealed temp holding a copy of `tuples` (a
-  /// result-cache hit). No disk writes are charged: the bytes were written
-  /// (and paid for) when the segment was originally materialized; the cache
-  /// only restores the mapping. Reads charge normally.
+  /// Materializes a pre-sealed temp holding `tuples` (a result-cache hit):
+  /// a borrowed segment's run is borrowed again, a paged one is copied. No
+  /// disk writes are charged: the bytes were written (and paid for) when
+  /// the segment was originally materialized; the cache only restores the
+  /// mapping. Reads charge normally.
   TempId AdoptSealed(std::string name, const TuplePages& tuples);
 
-  /// Hands a sealed temp's pages to the caller and marks the temp dropped
+  /// Hands a sealed temp's pages (or borrowed run) to the caller and marks
+  /// the temp dropped
   /// (cache admission moves a completed MF into the cache through this).
   /// No simulated charge — admission is host-side bookkeeping, like
   /// planning_host_seconds.
   TuplePages TakeTuples(TempId id);
 
   bool IsSealed(TempId id) const;
+  /// True while the temp holds a borrowed source-relation run.
+  bool Borrowed(TempId id) const;
   int64_t Cardinality(TempId id) const;
   /// Pages the sealed temp occupies on disk.
   int64_t Pages(TempId id) const;
 
-  /// Copies up to `max` tuples starting at `cursor` into `out`, charging
-  /// chunk reads to the disk. Returns the count; `*ready` receives the
-  /// simulated time at which the data is available (>= now for async reads;
-  /// with synchronous reads the clock itself is advanced instead).
-  int64_t Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
-               bool async_io, SimTime* ready);
+  /// Reads up to `max` tuples starting at `cursor`, charging chunk reads to
+  /// the disk: in place for a borrowed temp, otherwise copied into `out`
+  /// (room for `max`). `*ready` receives the simulated time at which the
+  /// data is available (>= now for async reads; with synchronous reads the
+  /// clock itself is advanced instead).
+  TempRead Read(TempId id, int64_t cursor, Tuple* out, int64_t max,
+                bool async_io, SimTime* ready);
 
-  /// Appends the whole sealed temp to `out` with the charges of
-  /// Read(id, 0, ..., Cardinality(id), async_io, ready). Returns the count.
+  /// Appends the whole sealed temp to `out` (borrowing a borrowed temp's
+  /// run) with the charges of Read(id, 0, ..., Cardinality(id), async_io,
+  /// ready). Returns the count.
   int64_t ReadAll(TempId id, TuplePages* out, bool async_io, SimTime* ready);
 
   // --- Prefetching read path (used by asynchronous TempSources) ---------
@@ -108,10 +128,10 @@ class TempStore {
   /// ranges each issue covers.
   SimTime IssueRead(TempId id, int64_t tuples);
 
-  /// Copies `n` tuples at `cursor` into `out` with no device charge — the
+  /// Reads `n` tuples at `cursor` like Read, with no device charge — the
   /// data must have been transferred by a prior IssueRead (the caller's
   /// responsibility).
-  void Copy(TempId id, int64_t cursor, Tuple* out, int64_t n);
+  TempRead ReadIssued(TempId id, int64_t cursor, Tuple* out, int64_t n);
 
   /// Releases the temp's storage. Reading or appending after Drop aborts.
   void Drop(TempId id);

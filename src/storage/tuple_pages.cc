@@ -64,13 +64,16 @@ PagePool& Pool() {
 }  // namespace
 
 TuplePages::TuplePages(TuplePages&& other) noexcept
-    : pages_(std::move(other.pages_)), size_(std::exchange(other.size_, 0)) {
+    : run_(std::exchange(other.run_, nullptr)),
+      pages_(std::move(other.pages_)),
+      size_(std::exchange(other.size_, 0)) {
   other.pages_.clear();
 }
 
 TuplePages& TuplePages::operator=(TuplePages&& other) noexcept {
   if (this != &other) {
     Clear();
+    run_ = std::exchange(other.run_, nullptr);
     pages_ = std::move(other.pages_);
     other.pages_.clear();
     size_ = std::exchange(other.size_, 0);
@@ -78,7 +81,20 @@ TuplePages& TuplePages::operator=(TuplePages&& other) noexcept {
   return *this;
 }
 
-void TuplePages::Append(const Tuple* data, int64_t n) {
+void TuplePages::Append(const Tuple* data, int64_t n, bool in_relation) {
+  if (n <= 0) return;
+  if (in_relation) {
+    if (size_ == 0) {
+      run_ = data;
+      size_ = n;
+      return;
+    }
+    if (run_ != nullptr && data == run_ + size_) {
+      size_ += n;
+      return;
+    }
+  }
+  if (run_ != nullptr) CopyRun();
   while (n > 0) {
     const int64_t offset = size_ % kPageTuples;
     if (offset == 0) pages_.push_back(Pool().Take());
@@ -90,11 +106,21 @@ void TuplePages::Append(const Tuple* data, int64_t n) {
   }
 }
 
+void TuplePages::CopyRun() {
+  const Tuple* run = std::exchange(run_, nullptr);
+  const int64_t n = std::exchange(size_, 0);
+  Append(run, n);
+}
+
 void TuplePages::CopyOut(int64_t from, Tuple* out, int64_t n) const {
   DQS_DCHECK_MSG(from >= 0 && n >= 0 && from + n <= size_,
                  "CopyOut [%lld, +%lld) of %lld tuples",
                  static_cast<long long>(from), static_cast<long long>(n),
                  static_cast<long long>(size_));
+  if (run_ != nullptr) {
+    std::copy_n(run_ + from, n, out);
+    return;
+  }
   while (n > 0) {
     const int64_t offset = from % kPageTuples;
     const int64_t take = std::min(n, kPageTuples - offset);
@@ -106,9 +132,22 @@ void TuplePages::CopyOut(int64_t from, Tuple* out, int64_t n) const {
   }
 }
 
+const Tuple* TuplePages::Read(int64_t from, int64_t n, Tuple* out) const {
+  if (run_ == nullptr) {
+    CopyOut(from, out, n);
+    return out;
+  }
+  DQS_DCHECK_MSG(from >= 0 && n >= 0 && from + n <= size_,
+                 "Read [%lld, +%lld) of %lld tuples",
+                 static_cast<long long>(from), static_cast<long long>(n),
+                 static_cast<long long>(size_));
+  return run_ + from;
+}
+
 void TuplePages::Clear() {
   if (!pages_.empty()) Pool().Give(pages_);
   pages_.clear();
+  run_ = nullptr;
   size_ = 0;
 }
 

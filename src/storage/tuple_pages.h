@@ -7,6 +7,11 @@
 // memory in, and a store never copies its tuples to grow. Every page has the
 // same size, so the free list never holds more pages than were live at once.
 //
+// A store may instead hold one borrowed run: consecutive tuples of a source
+// relation, kept by pointer (DESIGN.md §5). Relations are immutable and
+// outlive every store that borrows from them, so an unfiltered stream from
+// a source costs no copy and no page until something else is appended.
+//
 // Host pages are unrelated to the simulated disk pages of the cost model:
 // every simulated charge depends on tuple counts only.
 
@@ -21,9 +26,9 @@
 
 namespace dqsched::storage {
 
-/// Append-only tuple sequence in pooled fixed-size pages. Not thread-safe
-/// itself; distinct stores may be used from distinct threads (the shared
-/// page pool is locked).
+/// Append-only tuple sequence in pooled fixed-size pages, or one borrowed
+/// run of a source relation. Not thread-safe itself; distinct stores may
+/// be used from distinct threads (the shared page pool is locked).
 class TuplePages {
  public:
   /// Tuples per page (a power of two: indexing is a shift and a mask).
@@ -38,21 +43,37 @@ class TuplePages {
 
   int64_t size() const { return size_; }
 
+  /// True while the store holds a borrowed run instead of pages.
+  bool borrowed() const { return run_ != nullptr; }
+
   const Tuple& operator[](size_t i) const {
+    if (run_ != nullptr) return run_[i];
     return pages_[i / kPageTuples][i % kPageTuples];
   }
 
-  /// Appends `n` tuples, taking pages from the pool as the tail fills.
-  void Append(const Tuple* data, int64_t n);
+  /// Appends `n` tuples. `in_relation` says they are a span of a source
+  /// relation, which outlives the store: an empty store then borrows them
+  /// and a span that continues its borrowed run extends it. Any other
+  /// append copies, moving a borrowed run into pages first.
+  void Append(const Tuple* data, int64_t n, bool in_relation = false);
 
   /// Copies tuples [from, from + n) into `out`; the range must lie within
   /// size().
   void CopyOut(int64_t from, Tuple* out, int64_t n) const;
 
-  /// Invokes fn(const Tuple* run, int64_t n) once per page, in order, with
-  /// the page's filled run; the runs cover exactly size() tuples.
+  /// Tuples [from, from + n) as one contiguous span: in place when the
+  /// store is borrowed, otherwise copied into `out` (room for `n`).
+  const Tuple* Read(int64_t from, int64_t n, Tuple* out) const;
+
+  /// Invokes fn(const Tuple* run, int64_t n) once per page (once for a
+  /// borrowed run), in order, with the filled run; the runs cover exactly
+  /// size() tuples.
   template <typename Fn>
   void ForEachSpan(Fn&& fn) const {
+    if (run_ != nullptr) {
+      fn(run_, size_);
+      return;
+    }
     int64_t left = size_;
     for (const Tuple* page : pages_) {
       const int64_t n = left < kPageTuples ? left : kPageTuples;
@@ -61,10 +82,23 @@ class TuplePages {
     }
   }
 
-  /// Empties the store and returns its pages to the pool.
+  /// Appends every tuple of `other`, borrowing its run when it is
+  /// borrowed (the run's relation outlives both stores).
+  void AppendAll(const TuplePages& other) {
+    other.ForEachSpan([this, &other](const Tuple* run, int64_t n) {
+      Append(run, n, other.borrowed());
+    });
+  }
+
+  /// Empties the store, returning its pages to the pool or ending its
+  /// borrow.
   void Clear();
 
  private:
+  /// Copies the borrowed run into pooled pages.
+  void CopyRun();
+
+  const Tuple* run_ = nullptr;  // the borrowed run; pages_ is then empty
   std::vector<Tuple*> pages_;
   int64_t size_ = 0;
 };

@@ -36,6 +36,22 @@ Status DelayConfig::Validate() const {
   if (kind == DelayKind::kSlow && !(slow_factor >= 1.0)) {
     return Status::InvalidArgument("slow_factor must be >= 1");
   }
+  // Every duration the models cast must fit a nanosecond SimDuration.
+  if (!FitsInt64(mean_us * 1e3)) {
+    return Status::InvalidArgument("mean_us overflows 64-bit nanoseconds");
+  }
+  if (!FitsInt64(initial_delay_ms * 1e6)) {
+    return Status::InvalidArgument(
+        "initial_delay_ms overflows 64-bit nanoseconds");
+  }
+  if (!FitsInt64(burst_gap_ms * 1e6)) {
+    return Status::InvalidArgument(
+        "burst_gap_ms overflows 64-bit nanoseconds");
+  }
+  if (kind == DelayKind::kSlow && !FitsInt64(mean_us * slow_factor * 1e3)) {
+    return Status::InvalidArgument(
+        "mean_us x slow_factor overflows 64-bit nanoseconds");
+  }
   return Status::Ok();
 }
 

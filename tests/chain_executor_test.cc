@@ -165,6 +165,92 @@ TEST_F(ChainExecutorTest, TempSinkMaterializes) {
   Drain(frag);
   EXPECT_TRUE(ctx_.temps.IsSealed(temp));
   EXPECT_EQ(ctx_.temps.Cardinality(temp), 300);
+  // The unfiltered stream is kept as a run of the relation, not copied.
+  EXPECT_TRUE(ctx_.temps.Borrowed(temp));
+}
+
+TEST_F(ChainExecutorTest, SinksBorrowOnlyUnchangedRelationSpans) {
+  // A sink borrows a batch only while it is still the popped span of a
+  // relation: a queue pop or a read of a borrowed temp that no operator
+  // rewrote. The vectorized kernels leave a batch in place through a
+  // filter that keeps every tuple; the scalar kernels always copy it.
+  auto filter = [](double selectivity) {
+    plan::ChainOp op;
+    op.kind = plan::ChainOpKind::kFilter;
+    op.node = 7;
+    op.selectivity = selectivity;
+    return op;
+  };
+  struct Case {
+    const char* name;
+    std::vector<plan::ChainOp> ops;
+    bool scalar;
+    bool borrows;
+  };
+  const Case cases[] = {
+      {"no ops", {}, false, true},
+      {"keep-all filter", {filter(1.0)}, false, true},
+      {"keep-all filter, scalar", {filter(1.0)}, true, false},
+      {"dropping filter", {filter(0.5)}, false, false},
+  };
+  SourceId source = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    AddSource(700);
+    const TempId temp = ctx_.temps.Create(c.name);
+    FragmentSpec spec;
+    spec.name = c.name;
+    spec.ops = c.ops;
+    spec.kernels.scalar = c.scalar;
+    spec.sink = SinkKind::kTemp;
+    spec.sink_temp = temp;
+    FragmentRuntime frag(std::move(spec),
+                         std::make_unique<QueueSource>(source++), &operands_,
+                         &ctx_.result);
+    Drain(frag);
+    EXPECT_EQ(ctx_.temps.Borrowed(temp), c.borrows);
+  }
+
+  // A borrowed temp read back into an operand (the CF of a degraded build
+  // chain) hands the operand the same run; a probe's output is copied.
+  AddSource(200);
+  const TempId mf = ctx_.temps.Create("mf");
+  FragmentSpec mspec;
+  mspec.name = "mf";
+  mspec.sink = SinkKind::kTemp;
+  mspec.sink_temp = mf;
+  FragmentRuntime mat(std::move(mspec), std::make_unique<QueueSource>(source),
+                      &operands_, &ctx_.result);
+  Drain(mat);
+  ASSERT_TRUE(ctx_.temps.Borrowed(mf));
+  Operand& operand = operands_.Register(0, "J0", 0);
+  FragmentSpec bspec;
+  bspec.name = "cf";
+  bspec.sink = SinkKind::kOperand;
+  bspec.sink_join = 0;
+  FragmentRuntime build(std::move(bspec),
+                        std::make_unique<TempSource>(mf, /*async_io=*/true),
+                        &operands_, &ctx_.result);
+  Drain(build);
+  ASSERT_TRUE(operand.tuples().borrowed());
+  EXPECT_EQ(&operand.tuples()[0], relations_.back()->tuples.data());
+
+  AddSource(50);
+  operands_.Register(1, "J1", 0);
+  FragmentSpec pspec;
+  pspec.name = "probe";
+  plan::ChainOp probe;
+  probe.kind = plan::ChainOpKind::kProbe;
+  probe.join = 0;
+  pspec.ops.push_back(probe);
+  pspec.sink = SinkKind::kOperand;
+  pspec.sink_join = 1;
+  FragmentRuntime joined(std::move(pspec),
+                         std::make_unique<QueueSource>(source + 1),
+                         &operands_, &ctx_.result);
+  Drain(joined);
+  EXPECT_EQ(operands_.Get(1).cardinality(), 50 * 20);
+  EXPECT_FALSE(operands_.Get(1).tuples().borrowed());
 }
 
 TEST_F(ChainExecutorTest, StopSealsPartialMaterialization) {

@@ -151,6 +151,27 @@ TEST(DelayConfig, Validation) {
   bad.kind = DelayKind::kSlow;
   bad.slow_factor = nan;
   EXPECT_FALSE(bad.Validate().ok());
+  // Finite durations whose nanoseconds overflow int64_t fail too; the
+  // largest that fit pass.
+  bad = ok;
+  bad.mean_us = 1e16;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.kind = DelayKind::kInitial;
+  bad.initial_delay_ms = 1e13;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.initial_delay_ms = 9e12;
+  EXPECT_TRUE(bad.Validate().ok());
+  bad = ok;
+  bad.kind = DelayKind::kBursty;
+  bad.burst_gap_ms = 1e13;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = ok;
+  bad.kind = DelayKind::kSlow;
+  bad.slow_factor = 1e15;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.slow_factor = 1e14;
+  EXPECT_TRUE(bad.Validate().ok());
 }
 
 TEST(DelayKind, NamesAreStable) {

@@ -7,7 +7,9 @@
 
 #include "core/dqp.h"
 #include "core/dqs.h"
+#include "core/strategy.h"
 #include "plan/canonical_plans.h"
+#include "plan/reference_executor.h"
 #include "wrapper/wrapper.h"
 
 namespace dqsched::core {
@@ -15,7 +17,8 @@ namespace {
 
 class DqsDqpTest : public ::testing::Test {
  protected:
-  void Init(plan::QuerySetup setup, int64_t memory = 64 << 20) {
+  void Init(plan::QuerySetup setup, int64_t memory = 64 << 20,
+            const ExecutionOptions& options = {}) {
     setup_ = std::move(setup);
     auto compiled = plan::Compile(setup_.plan, setup_.catalog);
     ASSERT_TRUE(compiled.ok());
@@ -32,7 +35,14 @@ class DqsDqpTest : public ::testing::Test {
           static_cast<double>(cost_.MinWaitingTime()));
     }
     state_ = std::make_unique<ExecutionState>(&compiled_, ctx_.get(),
-                                              ExecutionOptions{});
+                                              options);
+  }
+
+  /// The fixture's answer must equal the reference executor's.
+  void ExpectReferenceAnswer() {
+    const plan::ReferenceResult ref = plan::ExecuteReference(compiled_, data_);
+    EXPECT_EQ(ctx_->result.count(), ref.result_card);
+    EXPECT_EQ(ctx_->result.checksum().value(), ref.checksum.value());
   }
 
   ChainId ChainOf(const char* name) {
@@ -250,6 +260,85 @@ TEST_F(DqsDqpTest, MemoryOverflowRecoversViaDqoSplit) {
   EXPECT_TRUE(state_->QueryDone());
   EXPECT_LE(ctx_->memory.peak(), 600000);
   EXPECT_GE(state_->dqo_splits(), 1);
+}
+
+TEST_F(DqsDqpTest, UnchangedStreamsBorrowTheirRelation) {
+  // A stream that reaches its sink unchanged is kept as a run of its
+  // source relation, not copied (DESIGN.md §5). On the Figure 5 query with
+  // A slowed, run by DSE's plan-and-run loop, the operands that A and E
+  // build and every MF temp borrow; the operands built from J1's, J2's and
+  // J4's outputs hold those probe outputs in pages.
+  plan::QuerySetup setup = plan::PaperFigure5Query(0.05);
+  setup.catalog.sources[0].delay.mean_us *= 8.0;
+  Init(std::move(setup));
+  Dqs dqs(DqsConfig{});
+  Dqp dqp(DqpConfig{});
+  Dqo dqo;
+  // Per join, whether its operand borrowed, read when it is sealed: its
+  // probing chain releases it on closing.
+  std::vector<int> borrowed(static_cast<size_t>(compiled_.num_joins), -1);
+  int guard = 0;
+  while (!state_->QueryDone() && ++guard < 100000) {
+    SchedulingPlan sp;
+    ASSERT_TRUE(dqs.ComputePlan(*state_, *ctx_, dqo, &sp).ok());
+    Result<Event> evt = dqp.RunPhase(*state_, sp, *ctx_);
+    ASSERT_TRUE(evt.ok()) << evt.status().ToString();
+    if (evt->kind == EventKind::kRateChange) {
+      ctx_->comm.MarkPlanned(ctx_->clock.now());
+    }
+    if (evt->kind != EventKind::kEndOfQf) continue;
+    state_->OnFragmentFinished(evt->fragment, *ctx_);
+    for (JoinId j = 0; j < compiled_.num_joins; ++j) {
+      const exec::Operand& operand = state_->operands().Get(j);
+      if (borrowed[static_cast<size_t>(j)] < 0 && operand.sealed()) {
+        ASSERT_FALSE(operand.spilled());
+        borrowed[static_cast<size_t>(j)] = operand.tuples().borrowed();
+      }
+    }
+  }
+  ASSERT_TRUE(state_->QueryDone());
+  ExpectReferenceAnswer();
+
+  for (JoinId j = 0; j < compiled_.num_joins; ++j) {
+    const plan::ChainInfo& builder =
+        compiled_.chain(compiled_.operand_of_join[static_cast<size_t>(j)]);
+    SCOPED_TRACE("operand of join " + std::to_string(j) + ", built by " +
+                 builder.name);
+    // Scans (A, E) borrow; probe outputs (J1, J2, J4) are copied.
+    EXPECT_EQ(borrowed[static_cast<size_t>(j)], builder.ops.empty() ? 1 : 0);
+  }
+  int64_t borrowed_operands = 0;
+  for (int b : borrowed) borrowed_operands += b;
+  EXPECT_EQ(borrowed_operands, 2);
+
+  int degraded = 0;
+  for (ChainId c = 0; c < state_->num_chains(); ++c) {
+    if (!state_->Degraded(c)) continue;
+    ++degraded;
+    EXPECT_TRUE(ctx_->temps.Borrowed(state_->MfTemp(c)))
+        << compiled_.chain(c).name;
+  }
+  EXPECT_GT(degraded, 0);
+}
+
+TEST_F(DqsDqpTest, MaterializeAllBorrowsEveryRelation) {
+  // MA's phase 1 writes each relation, unchanged, to a temp: every temp
+  // borrows its relation, and phase 2 reads them in place.
+  plan::QuerySetup setup = plan::PaperFigure5Query(0.05);
+  setup.catalog.sources[0].delay.mean_us *= 8.0;
+  Init(std::move(setup), 64 << 20, OptionsFor(StrategyKind::kMa));
+  Result<ExecutionMetrics> run =
+      RunStrategy(StrategyKind::kMa, *state_, *ctx_, StrategyConfig{});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ExpectReferenceAnswer();
+  for (SourceId s = 0; s < setup_.catalog.num_sources(); ++s) {
+    const TempId temp = state_->MaTempOf(s);
+    ASSERT_NE(temp, kInvalidId);
+    EXPECT_TRUE(ctx_->temps.Borrowed(temp))
+        << setup_.catalog.source(s).relation.name;
+    EXPECT_EQ(ctx_->temps.Cardinality(temp),
+              setup_.catalog.source(s).relation.cardinality);
+  }
 }
 
 }  // namespace

@@ -14,7 +14,12 @@
 
 #include "comm/comm_manager.h"
 #include "comm/tuple_queue.h"
+#include "core/dqp.h"
+#include "core/engine.h"
+#include "core/execution_state.h"
 #include "core/mediator.h"
+#include "core/strategy.h"
+#include "exec/exec_context.h"
 #include "plan/canonical_plans.h"
 #include "storage/relation.h"
 #include "wrapper/fault_model.h"
@@ -533,6 +538,60 @@ TEST(FaultEndToEnd, DisconnectReplayVerifiesAgainstReference) {
     EXPECT_EQ(r->fault.replays_discarded, 500) << core::StrategyName(kind);
     EXPECT_FALSE(r->fault.partial_result) << core::StrategyName(kind);
   }
+}
+
+TEST(FaultEndToEnd, ReplayStraddlingPopsStillBorrow) {
+  // SEQ runs A's build chain after B's. By then A's queue holds its fresh
+  // prefix, the duplicates of a from-scratch replay and fresh tuples after
+  // them, so one of A's pops straddles the discarded window. That pop is
+  // still one span of A's relation (DESIGN.md §7.1): A's operand keeps
+  // borrowing the run, and the answer matches the reference.
+  plan::QuerySetup setup = plan::ChainThreeSourceQuery();
+  setup.catalog.sources[0].faults.events = {
+      DisconnectAt(200, true, 0, Milliseconds(1), 0.0)};
+  MediatorConfig config = BaseConfig();
+  config.comm.failure_detection = true;
+  const core::SeedPolicy seeds = core::SeedPolicy::Mediator(config.seed);
+  Result<core::PreparedQuery> query =
+      core::PrepareQuery(setup.catalog, setup.plan, config.cost, seeds);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const plan::CompiledPlan& compiled = query->compiled;
+  exec::ExecContext ctx(&config.cost, config.comm,
+                        config.memory_budget_bytes);
+  core::AddWrappers(ctx, *query, seeds, /*hold=*/false);
+  core::ExecutionState state(&compiled, &ctx,
+                             core::OptionsFor(StrategyKind::kSeq));
+  core::Dqp dqp(config.strategy.dqp);
+  const std::vector<ChainId> order = compiled.IteratorModelOrder();
+  ASSERT_EQ(compiled.chain(order[1]).source, 0);  // A builds second
+  // Per join, whether its operand borrowed, read when its chain is done.
+  std::vector<int> borrowed(static_cast<size_t>(compiled.num_joins), -1);
+  for (ChainId c : order) {
+    core::SchedulingPlan sp;
+    sp.fragments.assign(1, state.ChainFragment(c));
+    sp.critical_ns.assign(1, 0.0);
+    for (int guard = 0; !state.ChainDone(c); ++guard) {
+      ASSERT_LT(guard, 100000) << "chain " << c << " made no progress";
+      Result<core::Event> evt = dqp.RunPhase(state, sp, ctx);
+      ASSERT_TRUE(evt.ok()) << evt.status().ToString();
+      if (evt->kind == core::EventKind::kEndOfQf) {
+        state.OnFragmentFinished(evt->fragment, ctx);
+      } else if (evt->kind == core::EventKind::kRateChange) {
+        ctx.comm.MarkPlanned(ctx.clock.now());  // acknowledge, as SEQ does
+      }
+    }
+    const plan::ChainInfo& chain = compiled.chain(c);
+    if (!chain.is_result) {
+      borrowed[static_cast<size_t>(chain.sink_join)] =
+          state.operands().Get(chain.sink_join).tuples().borrowed();
+    }
+  }
+  EXPECT_EQ(ctx.comm.ReplayDiscarded(0), 200);
+  const Status answer = query->CheckAnswer(
+      ctx.result.count(), ctx.result.checksum().value(), "SEQ");
+  EXPECT_TRUE(answer.ok()) << answer.ToString();
+  // Both build chains are plain scans of A and B: both operands borrow.
+  EXPECT_EQ(borrowed, std::vector<int>(borrowed.size(), 1));
 }
 
 TEST(FaultEndToEnd, TransientStallSuspectsThenRecovers) {

@@ -401,6 +401,46 @@ TEST(ResultCacheWarm, FleetWarmHitsAndNoWorseMakespan) {
   EXPECT_EQ(FleetFingerprint(*recold), FleetFingerprint(*cold));
 }
 
+TEST(ResultCacheWarm, FleetSegmentHitServesABorrowedRun) {
+  // With A slowed, DSE materializes each template's blocked probe source,
+  // B, to completion and admits the MF segments. No filter runs on them,
+  // so each segment is B's stream kept as a run of B's relation (DESIGN.md
+  // §5, §14.4). A bump of every A makes the result digests stale but
+  // leaves the B segments fresh, so the next run rebinds every B chain to
+  // a borrowed segment while its A chain still runs: warm segment hits,
+  // with answers equal to the cold run's.
+  std::vector<plan::QuerySetup> templates = TinyTemplates();
+  for (plan::QuerySetup& t : templates) {
+    t.catalog.sources[0].delay.mean_us *= 8.0;
+  }
+  auto fleet = FleetExecutor::Create(std::move(templates), Stream(12),
+                                     CachingConfig());
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  auto cold = fleet->Execute(StrategyKind::kDse, 2);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->cache.admitted_segments, 12);
+  const int64_t borrowed = fleet->BorrowedCacheSegments();
+  EXPECT_GT(borrowed, 0);
+
+  // Two 2-source templates: logical keys 0 and 2 are their A sources.
+  fleet->BumpCacheVersion(0);
+  fleet->BumpCacheVersion(2);
+  auto warm = fleet->Execute(StrategyKind::kDse, 2);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->cache.result_hits, 0);
+  EXPECT_EQ(warm->cache.segment_hits, 12);
+  // Hits adopt the segments without replacing them: still all borrowed.
+  EXPECT_EQ(fleet->BorrowedCacheSegments(), borrowed);
+  ASSERT_EQ(warm->queries.size(), cold->queries.size());
+  for (size_t i = 0; i < warm->queries.size(); ++i) {
+    EXPECT_EQ(warm->queries[i].status, QueryStatus::kOk);
+    EXPECT_EQ(warm->queries[i].metrics.result_count,
+              cold->queries[i].metrics.result_count);
+    EXPECT_EQ(warm->queries[i].metrics.result_checksum,
+              cold->queries[i].metrics.result_checksum);
+  }
+}
+
 TEST(ResultCacheWarm, MultiQueryWarmResolvesEveryQuery) {
   std::vector<plan::QuerySetup> mix;
   for (int i = 0; i < 4; ++i) mix.push_back(plan::PaperFigure5Query(0.02));

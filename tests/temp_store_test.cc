@@ -55,7 +55,7 @@ TEST_F(TempStoreTest, AppendSealReadRoundTrip) {
   std::vector<Tuple> out(1000);
   SimTime ready = 0;
   const int64_t n =
-      store_.Read(id, 0, out.data(), 1000, /*async_io=*/true, &ready);
+      store_.Read(id, 0, out.data(), 1000, /*async_io=*/true, &ready).count;
   ASSERT_EQ(n, 1000);
   for (int64_t i = 0; i < 1000; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)].rowid, static_cast<uint64_t>(i));
@@ -90,7 +90,8 @@ TEST_F(TempStoreTest, AppendSealReadRoundTrip) {
     std::vector<Tuple> back(static_cast<size_t>(total));
     for (int64_t at = 0; at < total;) {
       const int64_t got =
-          store.Read(t, at, back.data() + at, 500, want.async_io, &ready);
+          store.Read(t, at, back.data() + at, 500, want.async_io, &ready)
+              .count;
       ASSERT_GT(got, 0) << at;
       at += got;
       clock.BusyUntil(ready);
@@ -176,7 +177,7 @@ TEST_F(TempStoreTest, IssueReadAndCopy) {
   const SimTime done = store_.IssueRead(id, n);
   EXPECT_GT(done, clock_.now());
   std::vector<Tuple> out(10);
-  store_.Copy(id, 5, out.data(), 10);
+  store_.ReadIssued(id, 5, out.data(), 10);
   EXPECT_EQ(out[0].rowid, 105u);
 
   // Copies that cross host-page boundaries (1024 tuples), including into
@@ -185,7 +186,7 @@ TEST_F(TempStoreTest, IssueReadAndCopy) {
        {std::pair<int64_t, int64_t>{1020, 10}, {2040, 1100},
         {n - 1030, 1030}}) {
     std::vector<Tuple> run(static_cast<size_t>(len));
-    store_.Copy(id, cursor, run.data(), len);
+    store_.ReadIssued(id, cursor, run.data(), len);
     for (int64_t i = 0; i < len; ++i) {
       ASSERT_EQ(run[static_cast<size_t>(i)].rowid,
                 static_cast<uint64_t>(100 + cursor + i))
@@ -213,7 +214,8 @@ TEST_F(TempStoreTest, AdoptSealedMultiPageSegment) {
   SimTime ready = 0;
   for (int64_t at = 0; at < n;) {
     const int64_t got =
-        store_.Read(id, at, back.data() + at, 700, /*async_io=*/true, &ready);
+        store_.Read(id, at, back.data() + at, 700, /*async_io=*/true, &ready)
+            .count;
     ASSERT_GT(got, 0) << at;
     at += got;
   }
@@ -252,6 +254,109 @@ TEST_F(TempStoreTest, TakeTuplesHandsOffPagesWithoutCharges) {
   EXPECT_EQ(clock_.now(), now);
 }
 
+TEST_F(TempStoreTest, BorrowedTempReadsInPlaceWithPagedCharges) {
+  // The same tuples appended as relation spans and as copies: the borrowed
+  // temp hands out spans of the relation, the paged one copies into the
+  // reader's buffer, and every stat, disk charge and clock reading is the
+  // same for both.
+  const int64_t n = 2 * 64 * 204 + 31;  // two chunks and a tail
+  const auto relation = MakeTuples(n, 3);
+  struct Run {
+    std::tuple<int64_t, int64_t, int64_t, int64_t> stats;
+    std::tuple<int64_t, int64_t, int64_t, int64_t, SimDuration> disk;
+    SimTime clock;
+  };
+  auto run = [&](bool in_relation) {
+    sim::SimClock clock;
+    sim::SimDisk disk(&cost_);
+    TempStore store(&cost_, &disk, &clock);
+    const TempId id = store.Create("mf");
+    for (int64_t at = 0; at < n; at += 500) {
+      store.Append(id, relation.data() + at, std::min<int64_t>(500, n - at),
+                   /*async_io=*/true, in_relation);
+    }
+    store.Seal(id);
+    EXPECT_EQ(store.Borrowed(id), in_relation);
+    std::vector<Tuple> out(700);
+    SimTime ready = 0;
+    for (int64_t at = 0; at < n / 2;) {
+      const TempRead read =
+          store.Read(id, at, out.data(), 700, /*async_io=*/false, &ready);
+      EXPECT_EQ(read.in_relation, in_relation);
+      EXPECT_EQ(read.data, in_relation ? relation.data() + at : out.data());
+      EXPECT_EQ(read.data[0].rowid, static_cast<uint64_t>(3 + at));
+      at += read.count;
+    }
+    store.IssueRead(id, n);
+    const TempRead issued = store.ReadIssued(id, n - 600, out.data(), 600);
+    EXPECT_EQ(issued.count, 600);
+    EXPECT_EQ(issued.in_relation, in_relation);
+    EXPECT_EQ(issued.data[599].rowid, static_cast<uint64_t>(3 + n - 1));
+    return Run{StatsOf(store), StatsOf(disk), clock.now()};
+  };
+  const Run borrowed = run(true);
+  const Run paged = run(false);
+  EXPECT_EQ(borrowed.stats, paged.stats);
+  EXPECT_EQ(borrowed.disk, paged.disk);
+  EXPECT_EQ(borrowed.clock, paged.clock);
+}
+
+TEST_F(TempStoreTest, HandOffsKeepABorrowedRunAndCopyPages) {
+  // TakeTuples, AdoptSealed and ReadAll carry a borrowed run as a borrow
+  // and a paged temp's tuples as pages.
+  const int64_t n = 3 * 1024 + 7;
+  const auto relation = MakeTuples(n, 11);
+  const TempId mf = store_.Create("mf");
+  store_.Append(mf, relation.data(), 1000, true, /*in_relation=*/true);
+  store_.Append(mf, relation.data() + 1000, n - 1000, true,
+                /*in_relation=*/true);
+  store_.Seal(mf);
+  ASSERT_TRUE(store_.Borrowed(mf));
+
+  // ReadAll of the borrowed temp into an empty store borrows the run.
+  TuplePages reloaded;
+  SimTime ready = 0;
+  EXPECT_EQ(store_.ReadAll(mf, &reloaded, true, &ready), n);
+  EXPECT_TRUE(reloaded.borrowed());
+  EXPECT_EQ(&reloaded[0], relation.data());
+
+  // Admission takes the run itself; adoption borrows it again.
+  TuplePages segment = store_.TakeTuples(mf);
+  EXPECT_TRUE(store_.IsDropped(mf));
+  ASSERT_TRUE(segment.borrowed());
+  ASSERT_EQ(segment.size(), n);
+  EXPECT_EQ(&segment[n - 1], relation.data() + n - 1);
+  const TempId hit = store_.AdoptSealed("cached", segment);
+  EXPECT_TRUE(store_.Borrowed(hit));
+  EXPECT_EQ(store_.Cardinality(hit), n);
+  std::vector<Tuple> out(10);
+  const TempRead read = store_.Read(hit, 5, out.data(), 10, true, &ready);
+  EXPECT_EQ(read.data, relation.data() + 5);
+
+  // A paged temp (copied appends) hands off pages: TakeTuples moves them,
+  // AdoptSealed and ReadAll copy them.
+  const TempId paged = store_.Create("paged");
+  store_.Append(paged, relation.data(), n, true);
+  store_.Seal(paged);
+  EXPECT_FALSE(store_.Borrowed(paged));
+  TuplePages copy;
+  store_.ReadAll(paged, &copy, true, &ready);
+  EXPECT_FALSE(copy.borrowed());
+  TuplePages pages = store_.TakeTuples(paged);
+  EXPECT_FALSE(pages.borrowed());
+  const TempId adopted = store_.AdoptSealed("cached_paged", pages);
+  EXPECT_FALSE(store_.Borrowed(adopted));
+  for (int64_t i : {int64_t{0}, int64_t{1023}, int64_t{1024}, n - 1}) {
+    const size_t k = static_cast<size_t>(i);
+    EXPECT_EQ(copy[k].rowid, relation[k].rowid);
+    EXPECT_EQ(pages[k].rowid, relation[k].rowid);
+  }
+  EXPECT_EQ(store_.Read(adopted, n - 1, out.data(), 1, true, &ready)
+                .data[0]
+                .rowid,
+            relation[static_cast<size_t>(n - 1)].rowid);
+}
+
 TEST_F(TempStoreTest, ReadBeyondEndReturnsZero) {
   const TempId id = store_.Create("t");
   const auto tuples = MakeTuples(10);
@@ -259,7 +364,7 @@ TEST_F(TempStoreTest, ReadBeyondEndReturnsZero) {
   store_.Seal(id);
   std::vector<Tuple> out(10);
   SimTime ready = 0;
-  EXPECT_EQ(store_.Read(id, 10, out.data(), 10, true, &ready), 0);
+  EXPECT_EQ(store_.Read(id, 10, out.data(), 10, true, &ready).count, 0);
 }
 
 TEST_F(TempStoreTest, SealEmptyTemp) {

@@ -81,6 +81,17 @@ double ParseDouble(const char* argv0, const std::string& arg,
   return v;
 }
 
+/// Reads `s` like ParseDouble and requires `s` × `unit`, the value in
+/// bytes or nanoseconds, to fit an int64_t; anything else is a usage error.
+double ParseScaled(const char* argv0, const std::string& arg,
+                   const std::string& s, double unit) {
+  const double v = ParseDouble(argv0, arg, s);
+  if (!FitsInt64(v * unit)) {
+    Usage(argv0, (arg + ": '" + s + "' overflows a 64-bit count").c_str());
+  }
+  return v;
+}
+
 /// Reads all of `s`, a number inside flag `arg`, as a decimal integer in
 /// [lo, hi]; anything else is a usage error.
 int64_t ParseInt(const char* argv0, const std::string& arg,
@@ -134,7 +145,8 @@ CliOptions Parse(int argc, char** argv) {
     } else if (arg.rfind("--strategy=", 0) == 0) {
       o.strategy = value("--strategy=");
     } else if (arg.rfind("--memory-mb=", 0) == 0) {
-      o.memory_mb = ParseDouble(argv[0], arg, value("--memory-mb="));
+      o.memory_mb =
+          ParseScaled(argv[0], arg, value("--memory-mb="), 1024.0 * 1024.0);
     } else if (arg.rfind("--bmt=", 0) == 0) {
       o.bmt = ParseDouble(argv[0], arg, value("--bmt="));
     } else if (arg.rfind("--batch=", 0) == 0) {
@@ -142,7 +154,8 @@ CliOptions Parse(int argc, char** argv) {
     } else if (arg.rfind("--queue=", 0) == 0) {
       o.queue = ParseInt(argv[0], arg, value("--queue="));
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      o.scr_timeout_ms = ParseDouble(argv[0], arg, value("--timeout-ms="));
+      o.scr_timeout_ms =
+          ParseScaled(argv[0], arg, value("--timeout-ms="), 1e6);
     } else if (arg.rfind("--repeats=", 0) == 0) {
       o.repeats = static_cast<int>(
           ParseInt(argv[0], arg, value("--repeats="), INT_MIN, INT_MAX));
