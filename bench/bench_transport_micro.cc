@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) isolating the simulation data
 // plane: one pump plus one span pop per batch, wrapper->queue bulk pumping
-// under the window protocol, and the event-indexed idle pump. These are
-// the primitives every strategy run pays per batch; bench_suite measures
+// under the window protocol, the event-indexed idle pump, and the
+// per-batch questions the DQP asks of every source. These are the
+// primitives every strategy run pays per batch; bench_suite measures
 // their end-to-end effect, this binary isolates them.
 
 #include <benchmark/benchmark.h>
@@ -116,6 +117,37 @@ void BM_PumpAllIdle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PumpAllIdle)->Arg(6)->Arg(64);
+
+/// The four questions Dqp::RunPhase asks of a scheduled source
+/// (Available, SourceExhausted, Backpressured, NextArrival), asked of every
+/// source at an idle instant: ten tuples queued each, no arrival due.
+/// Items are questions, so the rate reads as time per question.
+void BM_SourceAnswers(benchmark::State& state) {
+  const int sources = static_cast<int>(state.range(0));
+  std::vector<storage::Relation> rels;
+  rels.reserve(static_cast<size_t>(sources));
+  for (int s = 0; s < sources; ++s) {
+    rels.push_back(MakeRelation(1024, s));
+  }
+  comm::CommManager cm{comm::CommConfig{}};
+  for (int s = 0; s < sources; ++s) {
+    cm.AddSource(std::make_unique<wrapper::SimWrapper>(
+                     s, &rels[static_cast<size_t>(s)], ConstantDelay(10.0), 1),
+                 /*prior_wait_ns=*/1.0e4);
+  }
+  const SimTime now = Microseconds(105);  // the 11th tuples are due at 110
+  cm.PumpAll(now);
+  for (auto _ : state) {
+    for (SourceId s = 0; s < sources; ++s) {
+      benchmark::DoNotOptimize(cm.Available(s, now));
+      benchmark::DoNotOptimize(cm.SourceExhausted(s));
+      benchmark::DoNotOptimize(cm.Backpressured(s));
+      benchmark::DoNotOptimize(cm.NextArrival(s));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * sources * 4);
+}
+BENCHMARK(BM_SourceAnswers)->Arg(6)->Arg(64);
 
 }  // namespace
 }  // namespace dqsched

@@ -38,7 +38,7 @@ void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
                 w->id(), num_sources());
   if (config_.serial_transport) w->set_serial_delivery(true);
   wrappers_.push_back(std::move(w));
-  queues_.push_back(std::make_unique<TupleQueue>(config_.queue_capacity));
+  queues_.emplace_back(config_.queue_capacity);
   cursor_.push_back(0);
   auto est = std::make_unique<RateEstimator>(kEstimatorAlpha);
   est->SetPrior(prior_wait_ns);
@@ -46,6 +46,8 @@ void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
   snapshots_.push_back(PlanSnapshot{prior_wait_ns, 0});
   fault_state_.emplace_back();
   heap_key_.push_back(kSimTimeNever);
+  exhausted_.push_back(0);
+  ended_.push_back(0);
   liveness_key_.push_back(kSimTimeNever);
   source_version_.push_back(0);
   const size_t i = wrappers_.size() - 1;
@@ -57,13 +59,10 @@ void CommManager::AddSource(std::unique_ptr<wrapper::SimWrapper> w,
     list->listed.push_back(0);
     list->Add(i);
   }
-  if (wrappers_[i]->Exhausted()) {
-    // Empty relation: the stream closes without any push (previously done
-    // lazily by the first pump).
-    queues_[i]->CloseProducer();
-  } else {
-    SyncSource(i);
-  }
+  // Empty relation: the stream closes without any push (previously done
+  // lazily by the first pump).
+  if (wrappers_[i]->Exhausted()) queues_[i].CloseProducer();
+  SyncSource(i);
 }
 
 void CommManager::StartSource(SourceId source, SimTime now) {
@@ -77,7 +76,10 @@ void CommManager::StartSource(SourceId source, SimTime now) {
 }
 
 void CommManager::SyncSource(size_t i) {
-  const SimTime key = wrappers_[i]->NextArrival();
+  const wrapper::SimWrapper& w = *wrappers_[i];
+  exhausted_[i] = w.Exhausted() ? 1 : 0;
+  ended_[i] = w.Exhausted() || fault_state_[i].abandoned ? 1 : 0;
+  const SimTime key = w.NextArrival();
   if (key != heap_key_[i]) {
     heap_key_[i] = key;
     if (key != kSimTimeNever) heap_.emplace(key, static_cast<int>(i));
@@ -93,9 +95,9 @@ void CommManager::SyncLiveness(size_t i) {
 }
 
 void CommManager::PumpSource(size_t i, SimTime now) {
-  auto& q = *queues_[i];
+  auto& q = queues_[i];
   const int64_t before = q.total_pushed();
-  const SimTime arrival_before = wrappers_[i]->NextArrival();
+  const SimTime arrival_before = heap_key_[i];
   wrappers_[i]->PumpInto(q, now, estimators_[i].get());
   if (q.total_pushed() != before) OnDelivery(i);
   if (wrappers_[i]->has_faults()) {
@@ -114,18 +116,16 @@ void CommManager::PumpSource(size_t i, SimTime now) {
       IngestReplayWindows(i);
     }
   }
+  SyncSource(i);
   // A pump can move NextArrival with zero deliveries — the window protocol
   // suspending the producer on a full queue flips it to kSimTimeNever.
   // Version-guarded arrival caches (SourceVersion's contract covers
   // NextArrival) must see that transition or they would keep stalling on
   // the stale pre-suspension arrival time forever.
-  if (wrappers_[i]->NextArrival() != arrival_before) {
-    ++source_version_[i];
-  }
-  SyncSource(i);
+  if (heap_key_[i] != arrival_before) ++source_version_[i];
 }
 
-void CommManager::PumpAll(SimTime now) {
+void CommManager::PumpDue(SimTime now) {
   while (!heap_.empty() && heap_.top().first <= now) {
     const auto [key, i] = heap_.top();
     heap_.pop();
@@ -136,16 +136,16 @@ void CommManager::PumpAll(SimTime now) {
 
 TupleSpan CommManager::PopSpan(SourceId source, SimTime now, int64_t max) {
   const size_t i = static_cast<size_t>(source);
-  auto& w = *wrappers_[i];
-  if (w.NextArrival() <= now) PumpSource(i, now);
-  const int64_t n = fault_state_[i].windows.empty() ? queues_[i]->Pop(max)
+  const wrapper::SimWrapper& w = *wrappers_[i];
+  if (heap_key_[i] <= now) PumpSource(i, now);
+  const int64_t n = fault_state_[i].windows.empty() ? queues_[i].Pop(max)
                                                     : PopDeduped(i, max);
   const TupleSpan span{w.relation().tuples.data() + cursor_[i], n};
   cursor_[i] += n;
   if (n > 0) ++source_version_[i];
   // Draining may unblock a suspended producer: its pending tuple enters at
   // the drain time.
-  if (w.Suspended() || w.NextArrival() <= now) PumpSource(i, now);
+  if (w.Suspended() || heap_key_[i] <= now) PumpSource(i, now);
   DQS_DCHECK_MSG(cursor_[i] + FreshInQueue(i) == FreshDelivered(i),
                  "source %d: cursor %lld + %lld fresh queued, but %lld fresh "
                  "delivered",
@@ -160,27 +160,6 @@ int64_t CommManager::Pop(SourceId source, SimTime now, storage::Tuple* out,
   const TupleSpan span = PopSpan(source, now, max);
   std::copy_n(span.data, span.count, out);
   return span.count;
-}
-
-int64_t CommManager::Available(SourceId source, SimTime now) {
-  const size_t i = static_cast<size_t>(source);
-  // A pump is a no-op unless an arrival is due (a suspended wrapper's
-  // NextArrival is kSimTimeNever, and it only resumes inside Pop).
-  if (wrappers_[i]->NextArrival() <= now) PumpSource(i, now);
-  return FreshInQueue(i);
-}
-
-bool CommManager::SourceExhausted(SourceId source) const {
-  const size_t i = static_cast<size_t>(source);
-  // An abandoned source's stream is over from the consumer's perspective
-  // even though its wrapper never produced everything; trailing replay
-  // duplicates left in the queue don't count as consumable.
-  return (wrappers_[i]->Exhausted() || fault_state_[i].abandoned) &&
-         FreshInQueue(i) == 0;
-}
-
-SimTime CommManager::NextArrival(SourceId source) const {
-  return wrappers_[static_cast<size_t>(source)]->NextArrival();
 }
 
 double CommManager::EstimatedWaitNs(SourceId source) const {
@@ -241,12 +220,13 @@ bool CommManager::InCooldown(SimTime now) const {
   return last_signal_ >= 0 && now - last_signal_ < config_.rate_change_cooldown;
 }
 
-bool CommManager::RateChangedSincePlan(SimTime now) {
+bool CommManager::RateChangeAmongCandidates(SimTime now) {
   // Both predicates read only the source's estimator, its snapshot, and
   // Exhausted (which never reverts). A source that evaluated false
   // therefore stays false until it delivers or a snapshot is taken, so
-  // each list holds every source that could fire, and the lowest firing
-  // id is the one a scan over all sources would pick.
+  // each list holds every source that could fire (OnDelivery lists a
+  // source only where its predicate can hold), and the lowest firing id
+  // is the one a scan over all sources would pick.
   //
   // Warm-up transitions are exempt from the cooldown: each fires at most
   // once per source, and deferring them would delay the scheduler's first
@@ -280,8 +260,13 @@ SourceId CommManager::ScanRateChangeSource(SimTime now) const {
 
 void CommManager::OnDelivery(size_t i) {
   ++source_version_[i];
-  warmup_candidates_.Add(i);
-  ratio_candidates_.Add(i);
+  // Both rate-change predicates change only at a delivery or a snapshot
+  // (see RateChangeAmongCandidates), and a snapshot empties the lists.
+  // So list the source only if a predicate can hold before its next
+  // delivery: warm-up while its snapshot is cold, the ratio check if it
+  // fires now.
+  if (!snapshots_[i].warm) warmup_candidates_.Add(i);
+  if (RatioFires(i)) ratio_candidates_.Add(i);
   stale_snapshots_.Add(i);
   if (!config_.failure_detection) return;
   SourceFaultState& fs = fault_state_[i];
@@ -308,7 +293,7 @@ void CommManager::IngestReplayWindows(size_t i) {
 }
 
 int64_t CommManager::PopDeduped(size_t i, int64_t max) {
-  TupleQueue& q = *queues_[i];
+  TupleQueue& q = queues_[i];
   SourceFaultState& fs = fault_state_[i];
   // Fresh tuples between duplicate runs are consecutive relation indices,
   // so a pop that straddles a discarded window is still one span.
@@ -329,7 +314,7 @@ int64_t CommManager::PopDeduped(size_t i, int64_t max) {
 }
 
 bool CommManager::DiscardDupPrefix(size_t i) {
-  TupleQueue& q = *queues_[i];
+  TupleQueue& q = queues_[i];
   SourceFaultState& fs = fault_state_[i];
   bool discarded = false;
   for (;;) {
@@ -352,8 +337,8 @@ bool CommManager::DiscardDupPrefix(size_t i) {
   return discarded;
 }
 
-int64_t CommManager::FreshInQueue(size_t i) const {
-  const TupleQueue& q = *queues_[i];
+int64_t CommManager::FreshInWindowedQueue(size_t i) const {
+  const TupleQueue& q = queues_[i];
   int64_t fresh = q.size();
   for (const wrapper::ReplayWindow& w : fault_state_[i].windows) {
     const int64_t b = std::max(w.begin, q.total_popped());
@@ -519,7 +504,7 @@ void CommManager::CloseSource(SourceId source) {
   if (fs.abandoned) return;
   fs.abandoned = true;
   wrappers_[i]->Abandon();
-  if (!queues_[i]->producer_closed()) queues_[i]->CloseProducer();
+  if (!queues_[i].producer_closed()) queues_[i].CloseProducer();
   SyncSource(i);  // NextArrival is now kSimTimeNever; liveness unwatched
   ++source_version_[i];
 }

@@ -6,7 +6,10 @@
 // production up to the current virtual time, which is equivalent to the
 // asynchronous producer/consumer of the paper in a single-threaded
 // discrete-event setting. Queues count tuples and hold none: a pop hands
-// out a span of the source's relation (DESIGN.md §7.1).
+// out a span of the source's relation (DESIGN.md §7.1). The per-batch
+// questions (Available, NextArrival, SourceExhausted, Backpressured) are
+// answered inline from per-source state the manager keeps for its event
+// index; none of them reads the wrapper.
 
 #ifndef DQSCHED_COMM_COMM_MANAGER_H_
 #define DQSCHED_COMM_COMM_MANAGER_H_
@@ -21,6 +24,7 @@
 #include "comm/rate_estimator.h"
 #include "comm/tuple_queue.h"
 #include "common/ids.h"
+#include "common/macros.h"
 #include "common/sim_time.h"
 #include "storage/tuple.h"
 #include "wrapper/wrapper.h"
@@ -99,8 +103,11 @@ class CommManager {
 
   /// Delivers all due production of every wrapper up to `now`. Only sources
   /// whose next arrival is <= `now` are touched: the manager keeps a
-  /// min-heap over SimWrapper::NextArrival(), so an idle pump is O(1).
-  void PumpAll(SimTime now);
+  /// min-heap over SimWrapper::NextArrival(), so an idle pump is one
+  /// inline comparison.
+  void PumpAll(SimTime now) {
+    if (!heap_.empty() && heap_.top().first <= now) PumpDue(now);
+  }
 
   /// Pops up to `max` fresh tuples of `source`, after pumping; pumps again
   /// after popping so a suspended producer resumes immediately (window
@@ -115,14 +122,50 @@ class CommManager {
   int64_t Pop(SourceId source, SimTime now, storage::Tuple* out, int64_t max);
 
   /// Tuples ready for consumption right now (pumps first).
-  int64_t Available(SourceId source, SimTime now);
+  int64_t Available(SourceId source, SimTime now) {
+    const size_t i = static_cast<size_t>(source);
+    // A pump is a no-op unless an arrival is due (a suspended wrapper's
+    // NextArrival is kSimTimeNever, and it only resumes inside Pop).
+    DQS_DCHECK_MSG(heap_key_[i] == wrappers_[i]->NextArrival(),
+                   "source %d: stale arrival key", source);
+    if (heap_key_[i] <= now) PumpSource(i, now);
+    return FreshInQueue(i);
+  }
 
-  /// True when the wrapper has produced everything and the queue is empty.
-  bool SourceExhausted(SourceId source) const;
+  /// True when the wrapper has produced everything (or the source was
+  /// closed) and no fresh tuple is queued.
+  bool SourceExhausted(SourceId source) const {
+    const size_t i = static_cast<size_t>(source);
+    // An abandoned source's stream is over from the consumer's perspective
+    // even though its wrapper never produced everything; trailing replay
+    // duplicates left in the queue don't count as consumable.
+    const bool exhausted = ended_[i] != 0 && FreshInQueue(i) == 0;
+    DQS_DCHECK_MSG(exhausted == ((wrappers_[i]->Exhausted() ||
+                                  fault_state_[i].abandoned) &&
+                                 FreshInQueue(i) == 0),
+                   "source %d: stale end-of-stream flag", source);
+    return exhausted;
+  }
 
   /// Earliest time a new tuple from `source` can appear, kSimTimeNever if
   /// exhausted or suspended-on-full-queue (consume to unblock).
-  SimTime NextArrival(SourceId source) const;
+  SimTime NextArrival(SourceId source) const {
+    const size_t i = static_cast<size_t>(source);
+    DQS_DCHECK_MSG(heap_key_[i] == wrappers_[i]->NextArrival(),
+                   "source %d: stale arrival key", source);
+    return heap_key_[i];
+  }
+
+  /// True when the wrapper is suspended on a full queue (window protocol):
+  /// every moment it stays so stretches the relation's retrieval time.
+  bool Backpressured(SourceId source) const {
+    const size_t i = static_cast<size_t>(source);
+    const bool backpressured = exhausted_[i] == 0 && queues_[i].Full();
+    DQS_DCHECK_MSG(backpressured == (!wrappers_[i]->Exhausted() &&
+                                     queues_[i].Full()),
+                   "source %d: stale exhaustion flag", source);
+    return backpressured;
+  }
 
   /// Current estimate of the mean inter-arrival time w of `source`.
   double EstimatedWaitNs(SourceId source) const;
@@ -143,9 +186,19 @@ class CommManager {
   /// by more than the configured ratio (subject to warmup and cooldown),
   /// or when a source that was un-warm at the snapshot has warmed up since
   /// (initial observations supersede the compile-time prior). The trigger
-  /// is recorded; the caller decides to replan. Evaluates only sources
-  /// that delivered since they last evaluated false.
-  bool RateChangedSincePlan(SimTime now);
+  /// is recorded; the caller decides to replan. Evaluates only listed
+  /// sources (registered, or left able to fire by their last delivery),
+  /// and none, inline, when no source is listed: the usual case.
+  bool RateChangedSincePlan(SimTime now) {
+    if (warmup_candidates_.sources.empty() &&
+        ratio_candidates_.sources.empty()) {
+      DQS_DCHECK_MSG(ScanRateChangeSource(now) == kInvalidId,
+                     "no rate-change candidate, but the scan picked %d",
+                     ScanRateChangeSource(now));
+      return false;
+    }
+    return RateChangeAmongCandidates(now);
+  }
 
   int64_t rate_change_signals() const { return rate_change_signals_; }
 
@@ -224,7 +277,7 @@ class CommManager {
     return *wrappers_[static_cast<size_t>(source)];
   }
   const TupleQueue& queue(SourceId source) const {
-    return *queues_[static_cast<size_t>(source)];
+    return queues_[static_cast<size_t>(source)];
   }
 
  private:
@@ -289,11 +342,15 @@ class CommManager {
     std::vector<wrapper::ReplayWindow> windows;
   };
 
+  /// PumpAll past its idle test: pumps every source with a due entry.
+  void PumpDue(SimTime now);
   /// Pumps one source and refreshes its event-index entry.
   void PumpSource(size_t i, SimTime now);
   /// Re-keys source `i` in the arrival heap and, with failure detection
-  /// armed, the liveness heap after its state changed. Stale heap entries
-  /// are left behind and skipped lazily on pop.
+  /// armed, the liveness heap after its state changed, and refreshes its
+  /// exhausted and ended flags. Stale heap entries are left behind and
+  /// skipped lazily on pop. Every change to a wrapper's state is followed
+  /// by this call before any answer is read.
   void SyncSource(size_t i);
   /// Re-keys source `i` in the liveness heap.
   void SyncLiveness(size_t i);
@@ -309,7 +366,12 @@ class CommManager {
   /// Returns whether anything was discarded (capacity may have freed).
   bool DiscardDupPrefix(size_t i);
   /// Queued tuples that are not pending replay duplicates.
-  int64_t FreshInQueue(size_t i) const;
+  int64_t FreshInQueue(size_t i) const {
+    if (fault_state_[i].windows.empty()) return queues_[i].size();
+    return FreshInWindowedQueue(i);
+  }
+  /// FreshInQueue with replay windows pending.
+  int64_t FreshInWindowedQueue(size_t i) const;
   /// Fresh (non-duplicate) tuples wrapper `i` has delivered, from its own
   /// stats and replay windows: the audit reference for `cursor_[i]`.
   int64_t FreshDelivered(size_t i) const;
@@ -326,6 +388,8 @@ class CommManager {
   bool WarmupFires(size_t i) const;
   bool RatioFires(size_t i) const;
   bool InCooldown(SimTime now) const;
+  /// RateChangedSincePlan with some source listed.
+  bool RateChangeAmongCandidates(SimTime now);
 
   // Full-scan references for the fast paths above; the audit build
   // (DQS_DCHECK) compares every fast result against them.
@@ -337,7 +401,7 @@ class CommManager {
 
   CommConfig config_;
   std::vector<std::unique_ptr<wrapper::SimWrapper>> wrappers_;
-  std::vector<std::unique_ptr<TupleQueue>> queues_;
+  std::vector<TupleQueue> queues_;
   /// Fresh tuples of source i popped so far: its next pop starts at
   /// relation index cursor_[i]. The audit build checks cursor_[i] +
   /// FreshInQueue(i) == FreshDelivered(i) after every pop.
@@ -345,13 +409,22 @@ class CommManager {
   std::vector<std::unique_ptr<RateEstimator>> estimators_;
   std::vector<PlanSnapshot> snapshots_;
   /// Min-heap of (next arrival, source). `heap_key_[i]` is the only live
-  /// key for source i (kSimTimeNever = no live entry: exhausted or
-  /// suspended); entries whose key differs are stale and skipped.
+  /// key for source i and equals SimWrapper::NextArrival() after every
+  /// SyncSource (kSimTimeNever = no live entry: exhausted, suspended,
+  /// held, dead or closed); entries whose key differs are stale and
+  /// skipped.
   SourceHeap heap_;
   std::vector<SimTime> heap_key_;
-  /// Rate-change candidates: delivered since last found unable to fire.
-  /// Right after a snapshot no source can fire (rate_change_ratio >= 1),
-  /// so MarkPlanned empties both lists.
+  /// Refreshed beside heap_key_ by SyncSource: the wrapper has produced
+  /// everything (`exhausted_`), or that or the source was closed
+  /// (`ended_`). Both never revert.
+  std::vector<char> exhausted_;
+  std::vector<char> ended_;
+  /// Rate-change candidates: sources whose predicate may hold, listed at
+  /// registration and at a delivery after which it can fire (warm-up:
+  /// the snapshot is cold; ratio: it fires). Right after a snapshot no
+  /// source can fire (rate_change_ratio >= 1), so MarkPlanned empties
+  /// both lists.
   SourceSet warmup_candidates_;
   SourceSet ratio_candidates_;
   /// Sources whose estimator changed since their snapshot (all sources

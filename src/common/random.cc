@@ -12,25 +12,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Reseed(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::Uniform(uint64_t bound) {
@@ -49,13 +35,6 @@ int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
   if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
   return lo + static_cast<int64_t>(Uniform(span));
 }
-
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0,1).
-  return (Next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::UniformZeroToTwice(double mean) { return NextDouble() * 2.0 * mean; }
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 

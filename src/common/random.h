@@ -24,8 +24,19 @@ class Rng {
   /// Reinitializes the state from `seed`.
   void Reseed(uint64_t seed);
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. This and the two draws below are inline:
+  /// every delivered tuple's delay draws through them.
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses rejection
   /// sampling to avoid modulo bias.
@@ -35,11 +46,14 @@ class Rng {
   int64_t UniformRange(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> uniform double in [0,1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [0, 2*mean): the paper's per-tuple delay model
   /// (Section 5.1.3), which has the given mean.
-  double UniformZeroToTwice(double mean);
+  double UniformZeroToTwice(double mean) { return NextDouble() * 2.0 * mean; }
 
   /// Bernoulli draw with probability p of true.
   bool Bernoulli(double p);
@@ -52,6 +66,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static constexpr uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

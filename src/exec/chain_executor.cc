@@ -49,7 +49,7 @@ Status FragmentRuntime::Open(ExecContext& ctx) {
 Result<int64_t> FragmentRuntime::ProcessBatch(ExecContext& ctx,
                                               int64_t max_tuples) {
   DQS_CHECK_MSG(!closed_, "batch on closed fragment %s", name().c_str());
-  DQS_RETURN_IF_ERROR(Open(ctx));
+  if (!opened_) DQS_RETURN_IF_ERROR(Open(ctx));
   if (max_tuples <= 0) return static_cast<int64_t>(0);
 
   // Live batches and reads of a borrowed temp are spans of the source
@@ -380,10 +380,6 @@ std::unique_ptr<ChainSource> FragmentRuntime::TakeSource() {
                 "TakeSource from started fragment %s", name().c_str());
   closed_ = true;  // the husk must never execute
   return std::move(source_);
-}
-
-bool FragmentRuntime::Finished(const ExecContext& ctx) const {
-  return source_->Exhausted(ctx);
 }
 
 void FragmentRuntime::Stop(ExecContext& ctx) {

@@ -95,7 +95,9 @@ class FragmentRuntime {
   Result<int64_t> ProcessBatch(ExecContext& ctx, int64_t max_tuples);
 
   /// True when the input is exhausted and everything was consumed.
-  bool Finished(const ExecContext& ctx) const;
+  bool Finished(const ExecContext& ctx) const {
+    return source_->Exhausted(ctx);
+  }
 
   /// Seals the sink, releases probed operands, marks the fragment closed.
   void Close(ExecContext& ctx);

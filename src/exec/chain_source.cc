@@ -29,8 +29,7 @@ SimTime QueueSource::NextArrival(const ExecContext& ctx) const {
 }
 
 bool QueueSource::Backpressured(const ExecContext& ctx) const {
-  return !ctx.comm.wrapper(source_).Exhausted() &&
-         ctx.comm.queue(source_).Full();
+  return ctx.comm.Backpressured(source_);
 }
 
 void TempSource::Advance(ExecContext& ctx) {

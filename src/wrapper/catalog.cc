@@ -1,5 +1,7 @@
 #include "wrapper/catalog.h"
 
+#include "common/sim_time.h"
+
 namespace dqsched::wrapper {
 
 SourceId Catalog::Find(const std::string& name) const {
@@ -31,6 +33,15 @@ Status Catalog::Validate() const {
     }
     Status delay = s.delay.Validate();
     if (!delay.ok()) return delay;
+    // Uniform draws reach twice the mean, so twice the expected total
+    // bounds the last arrival time, which must fit a nanosecond SimTime
+    // (and so must the LWB's retrieval term).
+    if (!FitsInt64(2.0 * MakeDelayModel(s.delay)->ExpectedTotalNs(
+                             s.relation.cardinality))) {
+      return Status::InvalidArgument(
+          "source " + s.relation.name +
+          ": total retrieval time overflows 64-bit nanoseconds");
+    }
     Status faults = s.faults.Validate();
     if (!faults.ok()) {
       return Status::InvalidArgument("source " + s.relation.name + ": " +

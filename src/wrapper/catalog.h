@@ -40,7 +40,8 @@ struct Catalog {
   /// Looks a source up by relation name; kInvalidId when absent.
   SourceId Find(const std::string& name) const;
 
-  /// Checks ids, cardinalities and delay configs.
+  /// Checks ids, cardinalities and delay configs, and that each source's
+  /// worst-case total retrieval time fits 64-bit nanoseconds.
   Status Validate() const;
 };
 

@@ -11,6 +11,7 @@ SimWrapper::SimWrapper(SourceId id, const storage::Relation* relation,
                        const DelayConfig& delay, uint64_t seed)
     : id_(id),
       relation_(relation),
+      cardinality_(relation == nullptr ? 0 : relation->cardinality()),
       model_(MakeDelayModel(delay)),
       rng_(seed) {
   DQS_CHECK(relation_ != nullptr);
@@ -29,8 +30,7 @@ void SimWrapper::SetFaultSchedule(FaultSchedule schedule, uint64_t seed) {
   if (!Exhausted()) ApplyFaults(/*pending_in_run=*/0);
 }
 
-void SimWrapper::ApplyFaults(int64_t pending_in_run) {
-  if (fault_ == nullptr || dead_) return;
+void SimWrapper::ConsultFaults(int64_t pending_in_run) {
   if (next_index_ >= cardinality()) return;
   // Replayed duplicates and already-consulted indices see no new events.
   if (next_index_ < replay_until_ || next_index_ < fault_applied_upto_) {
@@ -134,11 +134,6 @@ void SimWrapper::PumpInto(comm::TupleQueue& queue, SimTime now,
     stats_.finished_at = ts_scratch_.back();
   }
   if (Exhausted() && !queue.producer_closed()) queue.CloseProducer();
-}
-
-SimTime SimWrapper::NextArrival() const {
-  if (held_ || dead_ || Exhausted() || suspended_) return kSimTimeNever;
-  return next_ready_;
 }
 
 }  // namespace dqsched::wrapper

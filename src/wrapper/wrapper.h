@@ -62,7 +62,7 @@ class SimWrapper {
   SimWrapper& operator=(const SimWrapper&) = delete;
 
   SourceId id() const { return id_; }
-  int64_t cardinality() const { return relation_->cardinality(); }
+  int64_t cardinality() const { return cardinality_; }
   /// The delivered tuples: the consumer reads them here, not from a copy.
   const storage::Relation& relation() const { return *relation_; }
   /// Tuples not yet pushed into the queue.
@@ -94,7 +94,10 @@ class SimWrapper {
   /// or kSimTimeNever when exhausted, suspended (a suspended wrapper only
   /// resumes via PumpInto after a drain, and its queue is non-empty by
   /// definition), or held.
-  SimTime NextArrival() const;
+  SimTime NextArrival() const {
+    if (held_ || dead_ || Exhausted() || suspended_) return kSimTimeNever;
+    return next_ready_;
+  }
 
   /// Gates production on an explicit Start: a held wrapper delivers
   /// nothing and answers NextArrival with kSimTimeNever. Must precede any
@@ -144,14 +147,20 @@ class SimWrapper {
   static constexpr int64_t kNoRunCap = INT64_MAX;
 
   /// Consults the fault model for the fresh tuple `next_index_` is about
-  /// to name, applying silence / replay / death. No-op during a replay or
-  /// for an index already consulted. `pending_in_run` is the size of the
-  /// collected-but-not-yet-pushed run, needed to place replay windows in
-  /// absolute delivery positions.
-  void ApplyFaults(int64_t pending_in_run);
+  /// to name, applying silence / replay / death. No-op without a schedule
+  /// (tested inline: every delivered tuple passes here), once dead, during
+  /// a replay or for an index already consulted. `pending_in_run` is the
+  /// size of the collected-but-not-yet-pushed run, needed to place replay
+  /// windows in absolute delivery positions.
+  void ApplyFaults(int64_t pending_in_run) {
+    if (fault_ != nullptr && !dead_) ConsultFaults(pending_in_run);
+  }
+  void ConsultFaults(int64_t pending_in_run);
 
   SourceId id_;
   const storage::Relation* relation_;
+  /// The relation's size, read once: the pump tests it per tuple.
+  int64_t cardinality_;
   std::unique_ptr<DelayModel> model_;
   Rng rng_;
   int64_t next_index_ = 0;

@@ -77,6 +77,14 @@ TEST(Mediator, CreateValidatesConfig) {
   slowed.catalog.sources[0].delay.slow_factor = nan;
   EXPECT_FALSE(
       Mediator::Create(slowed.catalog, slowed.plan, MediatorConfig{}).ok());
+  // A 1e18-ns mean fits int64, but the relation's total retrieval time
+  // does not: the catalog check refuses it before the LWB casts it.
+  auto long_total = setup;
+  long_total.catalog.sources[0].delay.mean_us = 1e15;
+  const Result<Mediator> overflow =
+      Mediator::Create(long_total.catalog, long_total.plan, MediatorConfig{});
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
   // A per-run cache could never hit (epoch gating hides the run's own
   // admissions), so the mediator refuses one.
   config = MediatorConfig{};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -528,6 +529,193 @@ TEST(CommManagerSpan, AbandonedSourceDrainsItsFreshPrefix) {
   EXPECT_EQ(DrainCheckingSpans(cm, rel, &t, Microseconds(100), 7, cursor), 25);
   EXPECT_EQ(cm.ReplayDiscarded(0), 10);
   EXPECT_EQ(cm.RemainingTuples(0), 0);
+}
+
+// ------------------------------------------------------- inline answers
+//
+// The per-batch answers read state the manager keeps for its event index
+// (the arrival key and the exhausted and ended flags SyncSource
+// refreshes), never the wrapper. After every transition each must equal
+// its formula over wrapper(s) and queue(s).
+
+/// Fresh tuples queued for `s`: the queue minus the replayed duplicates
+/// still in it, from the wrapper's replay windows.
+int64_t FreshQueued(const CommManager& cm, SourceId s) {
+  const TupleQueue& q = cm.queue(s);
+  int64_t fresh = q.size();
+  for (const wrapper::ReplayWindow& w : cm.wrapper(s).replay_windows()) {
+    const int64_t b = std::max(w.begin, q.total_popped());
+    const int64_t e = std::min(w.end, q.total_pushed());
+    if (e > b) fresh -= e - b;
+  }
+  return fresh;
+}
+
+/// Checks the four answers for source 0 at `now`; Available goes last,
+/// since it pumps a due arrival.
+void ExpectAnswersMatchWrapper(CommManager& cm, SimTime now) {
+  const SimWrapper& w = cm.wrapper(0);
+  const TupleQueue& q = cm.queue(0);
+  EXPECT_EQ(cm.NextArrival(0), w.NextArrival());
+  EXPECT_EQ(cm.Backpressured(0), !w.Exhausted() && q.Full());
+  EXPECT_EQ(cm.SourceExhausted(0),
+            (w.Exhausted() || cm.SourceClosed(0)) && FreshQueued(cm, 0) == 0);
+  const bool due = w.NextArrival() <= now;
+  const int64_t pushed = q.total_pushed();
+  const int64_t available = cm.Available(0, now);
+  EXPECT_EQ(available, FreshQueued(cm, 0));
+  if (due) {
+    EXPECT_GT(w.NextArrival(), now) << "a due arrival was left unpumped";
+  } else {
+    EXPECT_EQ(q.total_pushed(), pushed) << "pumped with nothing due";
+  }
+}
+
+CommConfig StateConfig(bool failure_detection = false) {
+  CommConfig c;
+  c.queue_capacity = 16;
+  c.failure_detection = failure_detection;
+  return c;
+}
+
+TEST(CommManagerState, HeldSourceBeforeAndAfterStart) {
+  const Relation rel = MakeRelation(40);
+  CommManager cm(StateConfig());
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  w->Hold();
+  cm.AddSource(std::move(w), /*prior=*/10000.0);
+  ExpectAnswersMatchWrapper(cm, Milliseconds(5));
+  EXPECT_EQ(cm.NextArrival(0), kSimTimeNever);
+  cm.StartSource(0, Milliseconds(5));
+  ExpectAnswersMatchWrapper(cm, Milliseconds(5));
+  EXPECT_EQ(cm.NextArrival(0), Milliseconds(5) + Microseconds(10));
+  ExpectAnswersMatchWrapper(cm, Milliseconds(5) + Microseconds(35));
+  EXPECT_EQ(cm.queue(0).size(), 3);
+}
+
+TEST(CommManagerState, SuspensionOnAFullQueueAndResumptionByAPop) {
+  const Relation rel = MakeRelation(100);
+  CommManager cm(StateConfig());
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  // 16 tuples fill the queue; the 17th is due at 170 us.
+  cm.PumpAll(Microseconds(160));
+  ExpectAnswersMatchWrapper(cm, Microseconds(160));
+  EXPECT_TRUE(cm.Backpressured(0));
+  EXPECT_EQ(cm.NextArrival(0), Microseconds(170));
+  // The next pump delivers nothing and suspends the producer.
+  ExpectAnswersMatchWrapper(cm, Microseconds(170));
+  ASSERT_TRUE(cm.wrapper(0).Suspended());
+  EXPECT_EQ(cm.NextArrival(0), kSimTimeNever);
+  // A pop drains and resumes it: the pending tuple enters at once.
+  EXPECT_EQ(cm.PopSpan(0, Microseconds(200), 4).count, 4);
+  ExpectAnswersMatchWrapper(cm, Microseconds(200));
+  EXPECT_FALSE(cm.wrapper(0).Suspended());
+  EXPECT_EQ(cm.queue(0).size(), 13);
+  EXPECT_FALSE(cm.Backpressured(0));
+}
+
+TEST(CommManagerState, LastTupleFillsTheQueue) {
+  // The last tuple fills the queue: the producer is done, not throttled.
+  const Relation rel = MakeRelation(16);
+  CommManager cm(StateConfig());
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  cm.PumpAll(Microseconds(150));
+  ExpectAnswersMatchWrapper(cm, Microseconds(150));
+  EXPECT_EQ(cm.queue(0).size(), 15);
+  ExpectAnswersMatchWrapper(cm, Microseconds(160));
+  ASSERT_TRUE(cm.queue(0).Full());
+  EXPECT_FALSE(cm.Backpressured(0));
+  EXPECT_FALSE(cm.SourceExhausted(0));
+  EXPECT_EQ(cm.NextArrival(0), kSimTimeNever);
+  EXPECT_EQ(cm.PopSpan(0, Microseconds(170), 15).count, 15);
+  ExpectAnswersMatchWrapper(cm, Microseconds(170));
+  EXPECT_FALSE(cm.SourceExhausted(0));
+  EXPECT_EQ(cm.PopSpan(0, Microseconds(180), 15).count, 1);
+  ExpectAnswersMatchWrapper(cm, Microseconds(180));
+  EXPECT_TRUE(cm.SourceExhausted(0));
+}
+
+TEST(CommManagerState, EmptyRelationEndsAtRegistration) {
+  const Relation rel = MakeRelation(0);
+  CommManager cm(StateConfig());
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  ExpectAnswersMatchWrapper(cm, 0);
+  EXPECT_TRUE(cm.SourceExhausted(0));
+  EXPECT_EQ(cm.NextArrival(0), kSimTimeNever);
+}
+
+TEST(CommManagerState, ReplayWindowAtTheQueueHead) {
+  const Relation rel = MakeRelation(50);
+  CommConfig config = StateConfig(/*failure_detection=*/true);
+  config.queue_capacity = 128;
+  CommManager cm(config);
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  wrapper::FaultSchedule schedule;
+  schedule.events = {ReplayFromScratchAt(20)};
+  w->SetFaultSchedule(schedule, 5);
+  cm.AddSource(std::move(w), /*prior=*/10000.0);
+  // Delivered positions: fresh 0..19, replayed 0..19 at [20, 40), fresh
+  // 20..49 at [40, 70).
+  const SimTime t = Milliseconds(10);
+  cm.PumpAll(t);
+  ExpectAnswersMatchWrapper(cm, t);
+  EXPECT_EQ(cm.Available(0, t), 50);
+  // Popping the fresh head leaves the window at the head of the queue.
+  EXPECT_EQ(cm.PopSpan(0, t, 20).count, 20);
+  ASSERT_EQ(cm.queue(0).total_popped(), 20);
+  ExpectAnswersMatchWrapper(cm, t);
+  EXPECT_EQ(cm.Available(0, t), 30);
+  EXPECT_EQ(cm.PopSpan(0, t, 30).count, 30);
+  ExpectAnswersMatchWrapper(cm, t);
+  EXPECT_TRUE(cm.SourceExhausted(0));
+}
+
+TEST(CommManagerState, DeathThenAbandon) {
+  const Relation rel = MakeRelation(100);
+  CommConfig config = StateConfig(/*failure_detection=*/true);
+  config.queue_capacity = 64;
+  CommManager cm(config);
+  auto w = std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1);
+  wrapper::FaultSpec death;
+  death.kind = wrapper::FaultKind::kDeath;
+  death.at_tuple = 25;
+  wrapper::FaultSchedule schedule;
+  schedule.events = {death};
+  w->SetFaultSchedule(schedule, 5);
+  cm.AddSource(std::move(w), /*prior=*/10000.0);
+  cm.PumpAll(Milliseconds(10));
+  ExpectAnswersMatchWrapper(cm, Milliseconds(10));
+  ASSERT_TRUE(cm.wrapper(0).dead());
+  EXPECT_EQ(cm.NextArrival(0), kSimTimeNever);
+  // Dead but not abandoned: the stream has not ended.
+  cm.UpdateFaultState(Seconds(1));
+  ASSERT_TRUE(cm.SourceDead(0));
+  EXPECT_EQ(cm.PopSpan(0, Seconds(1), 25).count, 25);
+  ExpectAnswersMatchWrapper(cm, Seconds(1));
+  EXPECT_FALSE(cm.SourceExhausted(0));
+  cm.AbandonSource(0);
+  ExpectAnswersMatchWrapper(cm, Seconds(1));
+  EXPECT_TRUE(cm.SourceExhausted(0));
+}
+
+TEST(CommManagerState, CloseSourceMidStream) {
+  const Relation rel = MakeRelation(100);
+  CommManager cm(StateConfig());
+  cm.AddSource(std::make_unique<SimWrapper>(0, &rel, ConstantDelay(10.0), 1),
+               /*prior=*/10000.0);
+  cm.PumpAll(Microseconds(50));
+  ExpectAnswersMatchWrapper(cm, Microseconds(50));
+  cm.CloseSource(0);
+  ExpectAnswersMatchWrapper(cm, Microseconds(100));
+  EXPECT_EQ(cm.NextArrival(0), kSimTimeNever);
+  EXPECT_FALSE(cm.SourceExhausted(0));
+  EXPECT_EQ(cm.PopSpan(0, Microseconds(100), 16).count, 5);
+  ExpectAnswersMatchWrapper(cm, Microseconds(100));
+  EXPECT_TRUE(cm.SourceExhausted(0));
+  EXPECT_FALSE(cm.Backpressured(0));
 }
 
 DelayConfig InitialThenFast(double initial_ms, double mean_us) {

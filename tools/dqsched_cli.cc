@@ -194,6 +194,19 @@ CliOptions Parse(int argc, char** argv) {
   if (!std::isfinite(o.scale) || o.scale <= 0) {
     Usage(argv[0], "--scale must be a finite number > 0");
   }
+  // The largest cardinality the scale derives (BuildSetup) must fit
+  // int64_t: the paper query's relation C and the random query's maximum.
+  const double largest = o.query == "paper"    ? o.scale * 200000.0
+                         : o.query == "random" ? 60000 * o.scale / 0.3
+                                               : 0.0;
+  if (!FitsInt64(largest)) {
+    char complaint[96];
+    std::snprintf(complaint, sizeof(complaint),
+                  "--scale=%g derives a cardinality that overflows a 64-bit "
+                  "count",
+                  o.scale);
+    Usage(argv[0], complaint);
+  }
   return o;
 }
 
