@@ -179,20 +179,49 @@ SharedData CachedData(const wrapper::Catalog& catalog,
 /// instance. Memoized process-wide: the reference executor is host-side
 /// verification with no simulated cost, so this changes no metric. The
 /// miss path runs outside the lock; a losing racer discards its
-/// duplicate. Entries are never erased.
-const plan::ReferenceResult& CachedReference(const PreparedQuery& q,
-                                             std::string key) {
+/// duplicate. Entries are never erased, so each holds its instance's index
+/// set weakly, plus one strong slot for the most recently prepared set
+/// (the data memo's rule): every live holder of an instance shares one
+/// set, and a set no holder keeps is freed once it leaves the slot.
+void CachedReference(PreparedQuery* q, std::string key) {
+  struct Entry {
+    plan::ReferenceResult reference;
+    std::weak_ptr<exec::IndexSet> indexes;
+  };
   static std::mutex mu;
-  static std::map<std::string, std::unique_ptr<plan::ReferenceResult>> memo;
+  static std::map<std::string, Entry> memo;
+  static std::shared_ptr<exec::IndexSet> recent;
+  // Declared before the locks, so a set leaving the slot is freed unlocked.
+  std::shared_ptr<exec::IndexSet> released;
+  // Under the lock: copies the answer and takes the entry's live set, or
+  // starts an empty one keyed on the reference's operand cardinalities.
+  auto take = [&](Entry& e) {
+    q->reference = e.reference;
+    q->indexes = e.indexes.lock();
+    if (q->indexes == nullptr) {
+      std::vector<int64_t> exact_cards;
+      for (ChainId c : q->compiled.operand_of_join) {
+        exact_cards.push_back(
+            e.reference.chains[static_cast<size_t>(c)].output_card);
+      }
+      q->indexes = std::make_shared<exec::IndexSet>(std::move(exact_cards));
+      e.indexes = q->indexes;
+    }
+    released = std::exchange(recent, q->indexes);
+  };
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = memo.find(key);
-    if (it != memo.end()) return *it->second;
+    if (it != memo.end()) {
+      take(it->second);
+      return;
+    }
   }
-  auto computed = std::make_unique<plan::ReferenceResult>(
-      plan::ExecuteReference(q.compiled, *q.data));
+  plan::ReferenceResult computed =
+      plan::ExecuteReference(q->compiled, *q->data);
   std::lock_guard<std::mutex> lock(mu);
-  return *memo.emplace(std::move(key), std::move(computed)).first->second;
+  take(memo.try_emplace(std::move(key), Entry{std::move(computed), {}})
+           .first->second);
 }
 
 }  // namespace
@@ -255,6 +284,8 @@ Result<PreparedQuery> PrepareQuery(wrapper::Catalog catalog,
                                    const plan::Plan& plan,
                                    const sim::CostModel& cost,
                                    const SeedPolicy& seeds) {
+  // The one catalog check of a preparation: Annotate below takes the
+  // catalog as validated.
   DQS_RETURN_IF_ERROR(catalog.Validate());
   for (const wrapper::SourceSpec& s : catalog.sources) {
     // Refused rather than run fault-free: the fleet injects faults only
@@ -274,8 +305,7 @@ Result<PreparedQuery> PrepareQuery(wrapper::Catalog catalog,
   std::string data_key = DataKey(catalog, seeds);
   q.data = CachedData(catalog, seeds, data_key);
   q.catalog = std::move(catalog);
-  q.reference = CachedReference(q, ReferenceKey(std::move(data_key),
-                                                q.compiled));
+  CachedReference(&q, ReferenceKey(std::move(data_key), q.compiled));
   return q;
 }
 

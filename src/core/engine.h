@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "core/cache_manager.h"
 #include "core/strategy.h"
+#include "exec/operand.h"
 #include "plan/plan_node.h"
 #include "plan/reference_executor.h"
 #include "sim/cost_model.h"
@@ -103,6 +104,10 @@ struct PreparedQuery {
   /// out the same object while any holder keeps it (DESIGN.md §15.2).
   std::shared_ptr<const std::vector<storage::Relation>> data;
   plan::ReferenceResult reference;
+  /// The instance's hash indexes, which every run's exact operands share
+  /// (exec::IndexSet, DESIGN.md §15.2). Equal instances share one set while
+  /// any holder keeps it.
+  std::shared_ptr<exec::IndexSet> indexes;
 
   /// The one answer check: `count` and `checksum` must equal the
   /// reference's. `what` names the run in the error.
@@ -111,8 +116,8 @@ struct PreparedQuery {
 };
 
 /// Validates the catalog, compiles and annotates `plan`, and takes the
-/// data generated under `seeds` and its reference answer from the
-/// process-wide memos (DESIGN.md §15.2). A catalog fault schedule needs
+/// data generated under `seeds`, its reference answer and its index set
+/// from the process-wide memos (DESIGN.md §15.2). A catalog fault schedule needs
 /// the mediator's fault stream; under any other policy it is rejected.
 Result<PreparedQuery> PrepareQuery(wrapper::Catalog catalog,
                                    const plan::Plan& plan,

@@ -1,5 +1,7 @@
 #include "core/execution_state.h"
 
+#include <utility>
+
 #include "common/macros.h"
 #include "core/invariant_auditor.h"
 
@@ -15,7 +17,8 @@ using exec::TempSource;
 
 ExecutionState::ExecutionState(const plan::CompiledPlan* compiled,
                                exec::ExecContext* ctx,
-                               const ExecutionOptions& options)
+                               const ExecutionOptions& options,
+                               exec::IndexSet* indexes)
     : compiled_(compiled),
       ctx_(ctx),
       options_(options),
@@ -31,6 +34,19 @@ ExecutionState::ExecutionState(const plan::CompiledPlan* compiled,
     operands_.Register(
         j, "J" + std::to_string(j) + "<-" + compiled_->chain(producer).name,
         compiled_->join_build_field[static_cast<size_t>(j)]);
+  }
+  // Each operand shares through the instance's set, checked against the
+  // operands its producing chain probes.
+  for (JoinId j = 0; indexes != nullptr && j < compiled_->num_joins; ++j) {
+    const ChainId producer =
+        compiled_->operand_of_join[static_cast<size_t>(j)];
+    std::vector<const exec::Operand*> upstream;
+    for (const plan::ChainOp& op : compiled_->chain(producer).ops) {
+      if (op.kind == plan::ChainOpKind::kProbe) {
+        upstream.push_back(&operands_.Get(op.join));
+      }
+    }
+    operands_.Get(j).ShareIndexes(indexes, std::move(upstream));
   }
   chain_states_.resize(static_cast<size_t>(compiled_->num_chains()));
   for (ChainId c = 0; c < compiled_->num_chains(); ++c) {

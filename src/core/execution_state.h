@@ -57,9 +57,11 @@ struct ExecutionOptions {
 class ExecutionState {
  public:
   /// `compiled` must be annotated and must outlive the state; `ctx` is the
-  /// run's context.
+  /// run's context. `indexes` is the prepared instance's index set, which
+  /// the operands share (exec::IndexSet); null builds every index privately.
   ExecutionState(const plan::CompiledPlan* compiled, exec::ExecContext* ctx,
-                 const ExecutionOptions& options);
+                 const ExecutionOptions& options,
+                 exec::IndexSet* indexes = nullptr);
 
   ExecutionState(const ExecutionState&) = delete;
   ExecutionState& operator=(const ExecutionState&) = delete;

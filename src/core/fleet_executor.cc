@@ -501,6 +501,8 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
       }
       SharedQueryDesc desc;
       desc.compiled = compiled;
+      // First attempts and retries read the template's data: one set.
+      desc.indexes = tpl.query.indexes.get();
       desc.source_lo = lo;
       desc.source_hi = hi;
       desc.deadline = ls.deadline;

@@ -75,7 +75,8 @@ Result<Mediator::TracedExecution> Mediator::ExecuteWithOptions(
   ExecutionOptions options = OptionsFor(kind);
   options.trace = trace;
   options.kernels = config_.kernels;
-  ExecutionState state(&query_.compiled, &ctx, options);
+  ExecutionState state(&query_.compiled, &ctx, options,
+                       query_.indexes.get());
   StrategyConfig strategy = config_.strategy;
   if (config_.query_deadline > 0) {
     strategy.dqp.deadline = config_.query_deadline;
@@ -110,7 +111,8 @@ Result<ExecutionMetrics> Mediator::ExecuteScrambling(
   // materializes to overlap), but not its rate-driven planning.
   ExecutionOptions options = OptionsFor(StrategyKind::kDse);
   options.kernels = config_.kernels;
-  ExecutionState state(&query_.compiled, &ctx, options);
+  ExecutionState state(&query_.compiled, &ctx, options,
+                       query_.indexes.get());
   ScramblingConfig scr;
   scr.timeout = timeout;
   scr.batch_size = config_.strategy.dqp.batch_size;

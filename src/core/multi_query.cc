@@ -104,7 +104,7 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
     options.kernels = config_.kernels;
     options.cache = cache;
     CacheRunScope cache_run(cache, &ctx.memory, /*begin_run=*/false);
-    ExecutionState state(&q.compiled, &ctx, options);
+    ExecutionState state(&q.compiled, &ctx, options, q.indexes.get());
     Result<ExecutionMetrics> metrics =
         RunStrategy(strategy, state, ctx, config_.strategy);
     if (!metrics.ok()) return metrics.status();
@@ -158,6 +158,7 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
     const PreparedQuery& q = queries_[static_cast<size_t>(qi)];
     SharedQueryDesc desc;
     desc.compiled = &q.compiled;
+    desc.indexes = q.indexes.get();
     desc.source_lo = lo;
     lo += q.catalog.num_sources();
     desc.source_hi = lo;

@@ -34,8 +34,8 @@ int SharedQueryLoop::AddQuery(const SharedQueryDesc& desc) {
   exec_options.shared_context = true;
   exec_options.kernels = options_.kernels;
   exec_options.cache = options_.cache;
-  run->state =
-      std::make_unique<ExecutionState>(desc.compiled, ctx_, exec_options);
+  run->state = std::make_unique<ExecutionState>(desc.compiled, ctx_,
+                                                exec_options, desc.indexes);
   run->dqs = std::make_unique<Dqs>(options_.config.dqs);
   DqpConfig dqp_config = options_.config.dqp;
   dqp_config.slice_batches = kSliceBatches;

@@ -53,6 +53,9 @@ namespace dqsched::core {
 /// epoch and the lifecycle turns' source owner read it).
 struct SharedQueryDesc {
   const plan::CompiledPlan* compiled = nullptr;
+  /// The prepared instance's index set, which the query's operands share
+  /// (null: every index is built privately).
+  exec::IndexSet* indexes = nullptr;
   SourceId source_lo = 0;
   SourceId source_hi = 0;
   /// Absolute virtual-time deadline forced into the query's DqpConfig

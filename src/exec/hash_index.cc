@@ -25,6 +25,18 @@ void HashIndex::Build(const std::vector<storage::Tuple>& tuples, int field) {
   ScatterRun(tuples.data(), n, 0, field);
 }
 
+bool HashIndex::Matches(const storage::TuplePages& tuples, int field) const {
+  if (!built() || size_ != tuples.size()) return false;
+  const size_t f = static_cast<size_t>(field);
+  for (int64_t i = 0; i < size_; ++i) {
+    const Entry& e = entries_[i];
+    if (e.index >= size_) return false;
+    const storage::Tuple& t = tuples[e.index];
+    if (e.key != t.keys[f] || e.rowid != t.rowid) return false;
+  }
+  return true;
+}
+
 void HashIndex::Reset(int64_t n, int field) {
   DQS_CHECK_MSG(field >= 0 && field < storage::kTupleKeyFields,
                 "bad key field %d", field);

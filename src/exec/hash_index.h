@@ -1,13 +1,16 @@
 // Bucket-sorted hash index over a build operand's tuples.
 //
 // Built once when a probe chain opens, probed many times, never mutated
-// afterwards. The build is a counting sort: it hashes every row to a
-// bucket, takes a prefix sum of the bucket sizes, and scatters the rows
-// into their buckets in one stable pass. A bucket is one contiguous run of
-// entries, and the scatter keeps the rows of a bucket in input order, so a
-// key's matches come out in insertion order. Every entry carries the build
-// tuple's key, rowid and index: a probe that needs only the rowid never
-// touches the operand's tuples.
+// afterwards, so one index may serve every run of a prepared instance whose
+// operand holds the same rows (exec/operand.h, IndexSet). It copies keys and
+// rowids and holds no pointer into the rows it was built over. The build is
+// a counting sort: it hashes every row to a bucket, takes a prefix sum of
+// the bucket sizes, and scatters the rows into their buckets in one stable
+// pass. A bucket is one contiguous run of entries, and the scatter keeps
+// the rows of a bucket in input order, so a key's matches come out in
+// insertion order. Every entry carries the build tuple's key, rowid and
+// index: a probe that needs only the rowid never touches the operand's
+// tuples.
 
 #ifndef DQSCHED_EXEC_HASH_INDEX_H_
 #define DQSCHED_EXEC_HASH_INDEX_H_
@@ -120,8 +123,13 @@ class HashIndex {
   int64_t entry_count() const { return size_; }
   bool built() const { return !offsets_.empty(); }
 
+  /// True when the index is built over `tuples` keyed on keys[field]: the
+  /// row counts agree and every entry's key and rowid equal those of the
+  /// row it names. The audit build checks it on every adopted index.
+  bool Matches(const storage::TuplePages& tuples, int field) const;
+
   /// Host bytes this index holds; never above EstimateBytes of the largest
-  /// n built since the last Clear (a rebuild keeps the larger capacity).
+  /// n built into it (a rebuild keeps the larger capacity).
   int64_t AllocatedBytes() const {
     return capacity_ * static_cast<int64_t>(sizeof(Entry)) +
            static_cast<int64_t>(offsets_.capacity() * sizeof(uint32_t));
@@ -132,15 +140,6 @@ class HashIndex {
   /// table CostModel::hash_index_entry_bytes was calibrated on. It is
   /// fixed independently of the host layout, which stays below it.
   static int64_t EstimateBytes(int64_t n);
-
-  void Clear() {
-    offsets_.clear();
-    offsets_.shrink_to_fit();
-    entries_.reset();
-    capacity_ = 0;
-    size_ = 0;
-    mask_ = 0;
-  }
 
  private:
   /// Buckets for `n` entries: a power of two, at least n and at least 8.

@@ -1,5 +1,8 @@
 #include "exec/operand.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/macros.h"
 
 namespace dqsched::exec {
@@ -28,10 +31,42 @@ void Operand::Append(ExecContext& ctx, const storage::Tuple* data, int64_t n,
   ctx.temps.Append(temp_, data, n, async_io, in_relation);
 }
 
+std::shared_ptr<const HashIndex> IndexSet::Adopt(JoinId join) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const HashIndex> index = slots_[static_cast<size_t>(join)];
+  if (index != nullptr) ++adoptions_;
+  return index;
+}
+
+std::shared_ptr<const HashIndex> IndexSet::Publish(
+    JoinId join, std::shared_ptr<const HashIndex> built) {
+  // `built` is a parameter, so a discarded duplicate is freed after the
+  // lock is released.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const HashIndex>& slot = slots_[static_cast<size_t>(join)];
+  if (slot == nullptr) slot = built;
+  return slot;
+}
+
+int IndexSet::published() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const auto& slot) { return slot != nullptr; }));
+}
+
+int64_t IndexSet::adoptions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return adoptions_;
+}
+
 void Operand::Seal(ExecContext& ctx) {
   if (sealed_) return;
   if (spilled()) ctx.temps.Seal(temp_);
   sealed_ = true;
+  exact_ = set_ != nullptr && cardinality_ == set_->exact_card(join_) &&
+           std::all_of(upstream_.begin(), upstream_.end(),
+                       [](const Operand* up) { return up->exact(); });
 }
 
 int64_t Operand::BytesToLoad(const ExecContext& ctx) const {
@@ -67,14 +102,22 @@ Status Operand::Load(ExecContext& ctx, bool async_io) {
     return granted;
   }
   granted_index_bytes_ = index_bytes;
-  index_.Build(tuples_, field_);
   ctx.ChargeInstr(cardinality_ * ctx.cost->instr_hash_insert);
+  if (exact_) index_ = set_->Adopt(join_);
+  if (index_ != nullptr) {
+    DQS_DCHECK_MSG(index_->Matches(tuples_, field_),
+                   "adopted index does not match operand %s", name_.c_str());
+    return Status::Ok();
+  }
+  auto built = std::make_shared<HashIndex>();
+  built->Build(tuples_, field_);
+  index_ = exact_ ? set_->Publish(join_, std::move(built)) : std::move(built);
   return Status::Ok();
 }
 
 void Operand::Unload(ExecContext& ctx) {
   if (!loaded()) return;
-  index_.Clear();
+  index_.reset();
   ctx.memory.Release(granted_index_bytes_);
   granted_index_bytes_ = 0;
   if (spilled()) {
@@ -86,7 +129,7 @@ void Operand::Unload(ExecContext& ctx) {
 }
 
 void Operand::ReleaseAll(ExecContext& ctx) {
-  index_.Clear();
+  index_.reset();
   tuples_.Clear();
   ctx.memory.Release(granted_tuple_bytes_ + granted_index_bytes_);
   granted_tuple_bytes_ = 0;

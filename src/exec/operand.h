@@ -5,14 +5,20 @@
 // can occur in memory or on disk depending on the available resources"
 // (Section 2.2). Tuples accumulate in memory while the accountant grants
 // space and spill transparently to a disk temp otherwise. When the probe
-// chain opens, the operand is (re)loaded if spilled and a hash index is
-// built over it; both are charged to the simulation.
+// chain opens, the operand is (re)loaded if spilled and gets a hash index;
+// both are charged to the simulation. An operand that holds exactly the
+// reference executor's rows for its join adopts the index its prepared
+// instance published, or builds and publishes it; any other operand builds
+// a private one (DESIGN.md §5, "Operands and shared indexes"). The charges
+// are the same either way.
 
 #ifndef DQSCHED_EXEC_OPERAND_H_
 #define DQSCHED_EXEC_OPERAND_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -24,7 +30,47 @@
 
 namespace dqsched::exec {
 
-/// One join's materialized build input plus its (lazily built) hash index.
+/// The hash indexes of one prepared instance (a data set and a plan), one
+/// slot per join, shared by every run of that instance. A slot is filled
+/// once, by the first exact operand of its join to load, and its index is
+/// never mutated afterwards. Slots sit under a mutex: the runs of one
+/// instance may load on several threads at once.
+class IndexSet {
+ public:
+  /// `exact_cards[j]`: the reference executor's output cardinality of the
+  /// chain producing join j's operand.
+  explicit IndexSet(std::vector<int64_t> exact_cards)
+      : exact_cards_(std::move(exact_cards)),
+        slots_(exact_cards_.size()) {}
+
+  IndexSet(const IndexSet&) = delete;
+  IndexSet& operator=(const IndexSet&) = delete;
+
+  int64_t exact_card(JoinId join) const {
+    return exact_cards_[static_cast<size_t>(join)];
+  }
+
+  /// The index published for `join`, or null. A hit counts an adoption.
+  std::shared_ptr<const HashIndex> Adopt(JoinId join);
+  /// Publishes `built` for `join` unless another operand did first, and
+  /// returns the slot's index: `built`, or the winner's, in which case
+  /// `built` is discarded.
+  std::shared_ptr<const HashIndex> Publish(
+      JoinId join, std::shared_ptr<const HashIndex> built);
+
+  /// Read-only counts: slots published, and adoptions served.
+  int published() const;
+  int64_t adoptions() const;
+
+ private:
+  const std::vector<int64_t> exact_cards_;
+  mutable std::mutex mu_;
+  std::vector<std::shared_ptr<const HashIndex>> slots_;
+  int64_t adoptions_ = 0;
+};
+
+/// One join's materialized build input plus its (lazily built or adopted)
+/// hash index.
 class Operand {
  public:
   Operand(JoinId join, std::string name, int build_key_field)
@@ -45,10 +91,23 @@ class Operand {
   void Append(ExecContext& ctx, const storage::Tuple* data, int64_t n,
               bool async_io, bool in_relation = false);
 
-  /// Freezes the operand; its exact cardinality becomes authoritative.
+  /// Lets this operand share its index through `set` (null: always build
+  /// privately). `upstream` are the operands its producing chain probes.
+  void ShareIndexes(IndexSet* set, std::vector<const Operand*> upstream) {
+    set_ = set;
+    upstream_ = std::move(upstream);
+  }
+
+  /// Freezes the operand; its exact cardinality becomes authoritative, and
+  /// so does whether it is exact: its cardinality equals its set's exact
+  /// cardinality and every upstream operand is exact. A chain reads its
+  /// source in relation order, so its output over a source prefix is a
+  /// prefix of its full output; an exact operand therefore holds the
+  /// reference's rows in the reference's order.
   void Seal(ExecContext& ctx);
 
   bool sealed() const { return sealed_; }
+  bool exact() const { return exact_; }
   bool spilled() const { return temp_ != kInvalidId; }
   int64_t cardinality() const { return cardinality_; }
   /// Memory currently held for the raw tuples (0 when spilled/released).
@@ -65,13 +124,14 @@ class Operand {
   int64_t BytesToLoad(const ExecContext& ctx) const;
 
   /// Prepares the operand for probing: reads it back from disk if spilled
-  /// (charged), grants memory, builds the index (charged per insert).
-  /// Fails with kResourceExhausted when the grant fails; the operand is
-  /// left unloaded in that case.
+  /// (charged), grants memory and charges the index build per insert. An
+  /// exact operand then adopts its set's index, or builds and publishes
+  /// one; any other builds a private index. Fails with kResourceExhausted
+  /// when a grant fails; the operand is left unloaded in that case.
   Status Load(ExecContext& ctx, bool async_io);
 
-  bool loaded() const { return index_.built(); }
-  const HashIndex& index() const { return index_; }
+  bool loaded() const { return index_ != nullptr; }
+  const HashIndex& index() const { return *index_; }
   const storage::TuplePages& tuples() const { return tuples_; }
 
   /// Undoes a Load() without losing data: drops the index (and, for a
@@ -101,9 +161,13 @@ class Operand {
   int field_;
 
   storage::TuplePages tuples_;
-  HashIndex index_;
+  /// Built here or adopted from set_; immutable either way.
+  std::shared_ptr<const HashIndex> index_;
+  IndexSet* set_ = nullptr;
+  std::vector<const Operand*> upstream_;
   TempId temp_ = kInvalidId;
   bool sealed_ = false;
+  bool exact_ = false;
   int64_t cardinality_ = 0;
   int64_t granted_tuple_bytes_ = 0;
   int64_t granted_index_bytes_ = 0;

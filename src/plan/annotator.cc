@@ -13,7 +13,6 @@ namespace dqsched::plan {
 Status Annotate(CompiledPlan* compiled, const wrapper::Catalog& catalog,
                 const sim::CostModel& cost) {
   DQS_RETURN_IF_ERROR(cost.Validate());
-  DQS_RETURN_IF_ERROR(catalog.Validate());
 
   // Chains are created result-first; a chain's blockers always have larger
   // ids, so descending id order annotates operands before their consumers.

@@ -154,7 +154,9 @@ Result<CompiledPlan> Compile(const Plan& plan, const wrapper::Catalog& catalog);
 
 /// Fills the annotation fields of every chain from catalog statistics and
 /// the cost model. Estimated fanout of a probe = est operand cardinality /
-/// key domain of the probe field.
+/// key domain of the probe field. The catalog arrives validated
+/// (Catalog::Validate, which PrepareQuery runs); only the cost model is
+/// checked here.
 Status Annotate(CompiledPlan* compiled, const wrapper::Catalog& catalog,
                 const sim::CostModel& cost);
 

@@ -1,7 +1,9 @@
 // Engine-core tests: each driver's seed policy is pinned to the workload
 // the baselines were recorded on, the process-wide reference memo hands
-// back the right answer for every generator input, and the data and
-// delay-total memos share exactly what their keys say is equal.
+// back the right answer for every generator input, the data and
+// delay-total memos share exactly what their keys say is equal, and the
+// runs of one prepared instance share its hash indexes only where an
+// operand is exact.
 
 #include "core/engine.h"
 
@@ -17,8 +19,12 @@
 
 #include "common/parallel_runner.h"
 #include "common/random.h"
+#include "core/mediator.h"
+#include "exec/operand.h"
+#include "expect_identical.h"
 #include "plan/canonical_plans.h"
 #include "wrapper/delay_model.h"
+#include "wrapper/fault_model.h"
 
 namespace dqsched::core {
 namespace {
@@ -166,6 +172,148 @@ TEST(PreparedDataMemo, ReleasesASetOnceItsHoldersAndTheSlotDropIt) {
   Result<PreparedQuery> rehit = PrepareFigure5(SeedPolicy::MixQuery(11, 1, 0));
   ASSERT_TRUE(rehit.ok()) << rehit.status().ToString();
   EXPECT_EQ(rehit->data, held_data.lock());
+}
+
+// --- Index sharing (DESIGN.md §5 and §15.2) ----------------------------
+//
+// The set a PrepareQuery of the same instance hands out is the one every
+// driver of that instance passes its runs, so its read-only counts show
+// what those runs published and adopted.
+
+std::shared_ptr<exec::IndexSet> SetOf(const plan::QuerySetup& setup,
+                                      const MediatorConfig& config) {
+  Result<PreparedQuery> q = PrepareQuery(setup.catalog, setup.plan,
+                                         config.cost,
+                                         SeedPolicy::Mediator(config.seed));
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  return q.ok() ? q->indexes : nullptr;
+}
+
+Mediator MakeMediator(const plan::QuerySetup& setup,
+                      const MediatorConfig& config) {
+  Result<Mediator> m = Mediator::Create(setup.catalog, setup.plan, config);
+  EXPECT_TRUE(m.ok()) << m.status().ToString();
+  return std::move(m.value());
+}
+
+// A mediator's second run of a strategy, and a second mediator's run over
+// the same instance, adopt every join's index and publish none; answers
+// and every non-wall metric equal the first run's, which built them.
+TEST(IndexSharing, RepeatedRunsAdoptEveryJoinAndMatchTheFirst) {
+  const plan::QuerySetup setup = plan::PaperFigure5Query(0.05);
+  MediatorConfig config;
+  config.seed = 9101;  // an instance no other test prepares
+  const Mediator first = MakeMediator(setup, config);
+  const std::shared_ptr<exec::IndexSet> set = SetOf(setup, config);
+  ASSERT_NE(set, nullptr);
+  const int joins = 5;
+  EXPECT_EQ(set->published(), 0);
+  int64_t adoptions = 0;
+  for (StrategyKind kind :
+       {StrategyKind::kDse, StrategyKind::kSeq, StrategyKind::kMa}) {
+    SCOPED_TRACE(StrategyName(kind));
+    const bool builds = kind == StrategyKind::kDse;  // the first run
+    Result<ExecutionMetrics> a = first.Execute(kind);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(set->published(), joins);
+    adoptions += builds ? 0 : joins;
+    EXPECT_EQ(set->adoptions(), adoptions);
+
+    Result<ExecutionMetrics> b = first.Execute(kind);
+    const Mediator second = MakeMediator(setup, config);
+    Result<ExecutionMetrics> c = second.Execute(kind);
+    ASSERT_TRUE(b.ok() && c.ok());
+    EXPECT_EQ(set->published(), joins);
+    adoptions += 2 * joins;
+    EXPECT_EQ(set->adoptions(), adoptions);
+    ExpectIdentical(*a, *b, "second run");
+    ExpectIdentical(*a, *c, "second mediator");
+  }
+}
+
+// Source A dies mid-stream under the partial-result policy. A feeds J4
+// alone, and J3, J1 and J0 each probe the one before, so those four
+// operands come out short and only E's J2 is exact: the short ones build
+// privately and publish nothing, and never adopt what a clean run later
+// publishes.
+TEST(IndexSharing, ShortOperandsAndTheirDownstreamBuildPrivately) {
+  const plan::QuerySetup clean = plan::PaperFigure5Query(0.05);
+  plan::QuerySetup killed = clean;
+  wrapper::FaultSpec death;
+  death.kind = wrapper::FaultKind::kDeath;
+  death.at_tuple = 1000;
+  killed.catalog.sources[static_cast<size_t>(killed.catalog.Find("A"))]
+      .faults.events = {death};
+  MediatorConfig config;
+  config.seed = 9102;
+  config.strategy.fault.partial_results = true;
+  const Mediator m_killed = MakeMediator(killed, config);
+  const Mediator m_clean = MakeMediator(clean, config);
+  // Faults are not part of the data: both mediators share one set.
+  const std::shared_ptr<exec::IndexSet> set = SetOf(clean, config);
+  ASSERT_NE(set, nullptr);
+  const int joins = 5;
+  const int exact = 1;
+
+  Result<ExecutionMetrics> short_run = m_killed.Execute(StrategyKind::kDse);
+  ASSERT_TRUE(short_run.ok()) << short_run.status().ToString();
+  ASSERT_TRUE(short_run->fault.partial_result);
+  EXPECT_LT(short_run->result_count, m_killed.reference().result_card);
+  EXPECT_EQ(set->published(), exact);
+  EXPECT_EQ(set->adoptions(), 0);
+
+  // A clean run afterwards adopts the exact operand's index and publishes
+  // the rest; its answer is verified against the reference.
+  Result<ExecutionMetrics> full = m_clean.Execute(StrategyKind::kDse);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(set->published(), joins);
+  EXPECT_EQ(set->adoptions(), exact);
+
+  // With every slot published, the short operands still build their own.
+  Result<ExecutionMetrics> short_again = m_killed.Execute(StrategyKind::kDse);
+  ASSERT_TRUE(short_again.ok()) << short_again.status().ToString();
+  ExpectIdentical(*short_run, *short_again, "short run with a full set");
+  EXPECT_EQ(set->adoptions(), 2 * exact);
+
+  Result<ExecutionMetrics> full_again = m_clean.Execute(StrategyKind::kDse);
+  ASSERT_TRUE(full_again.ok()) << full_again.status().ToString();
+  ExpectIdentical(*full, *full_again, "clean run adopting every join");
+  EXPECT_EQ(set->adoptions(), 2 * exact + joins);
+}
+
+// The memo keeps its sets the way it keeps data: weakly, beside the
+// never-erased reference entry, plus one strong slot for the most recently
+// prepared set. A set nobody holds is freed once the slot moves on.
+TEST(IndexSharing, SetIsFreedOnceItsHoldersAndTheSlotDropIt) {
+  const SeedPolicy first_seeds = SeedPolicy::MixQuery(12, 0, 0);
+  std::weak_ptr<exec::IndexSet> first;
+  {
+    Result<PreparedQuery> q = PrepareFigure5(first_seeds);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    first = q->indexes;
+  }
+  ASSERT_FALSE(first.expired());
+  {
+    Result<PreparedQuery> again = PrepareFigure5(first_seeds);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->indexes, first.lock());
+  }
+  Result<PreparedQuery> held = PrepareFigure5(SeedPolicy::MixQuery(12, 1, 0));
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_TRUE(first.expired());
+  const std::weak_ptr<exec::IndexSet> held_set = held->indexes;
+  for (int q = 2; q < 4; ++q) {
+    ASSERT_TRUE(PrepareFigure5(SeedPolicy::MixQuery(12, q, 0)).ok());
+  }
+  Result<PreparedQuery> rehit = PrepareFigure5(SeedPolicy::MixQuery(12, 1, 0));
+  ASSERT_TRUE(rehit.ok()) << rehit.status().ToString();
+  EXPECT_EQ(rehit->indexes, held_set.lock());
+  // The reference entry outlives its set: the first instance prepared
+  // again gets a new set beside the same answer.
+  Result<PreparedQuery> revived = PrepareFigure5(first_seeds);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  ASSERT_NE(revived->indexes, nullptr);
+  EXPECT_EQ(revived->indexes->published(), 0);
 }
 
 double FreshDelayTotal(const wrapper::DelayConfig& delay, uint64_t seed,

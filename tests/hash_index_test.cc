@@ -98,13 +98,34 @@ TEST(HashIndex, MemoryEstimateMatchesAllocation) {
   }
 }
 
-TEST(HashIndex, ClearReleasesEverything) {
-  const auto tuples = TuplesWithKeys({1, 2, 3});
+storage::TuplePages PagesOf(const std::vector<storage::Tuple>& tuples) {
+  storage::TuplePages pages;
+  pages.Append(tuples.data(), static_cast<int64_t>(tuples.size()));
+  return pages;
+}
+
+// The adoption oracle: an index matches the rows it was built over, and
+// neither a reordering of those rows nor a changed rowid.
+TEST(HashIndex, MatchesOnlyTheRowsItWasBuiltOver) {
+  const auto tuples = TuplesWithKeys({4, 9, 4, 1, 9, 4});
   HashIndex index;
+  EXPECT_FALSE(index.Matches(PagesOf(tuples), 0));  // unbuilt
   index.Build(tuples, 0);
-  index.Clear();
-  EXPECT_FALSE(index.built());
-  EXPECT_EQ(index.AllocatedBytes(), 0);
+  EXPECT_TRUE(index.Matches(PagesOf(tuples), 0));
+
+  auto reordered = tuples;
+  std::swap(reordered[0], reordered[1]);
+  EXPECT_FALSE(index.Matches(PagesOf(reordered), 0));
+
+  auto changed = tuples;
+  changed[3].rowid += 100;
+  EXPECT_FALSE(index.Matches(PagesOf(changed), 0));
+
+  auto shorter = tuples;
+  shorter.pop_back();
+  EXPECT_FALSE(index.Matches(PagesOf(shorter), 0));
+  // The same rows keyed on another field.
+  EXPECT_FALSE(index.Matches(PagesOf(tuples), 1));
 }
 
 TEST(HashIndex, NegativeKeys) {

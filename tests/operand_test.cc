@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "exec/exec_context.h"
 
@@ -167,6 +168,112 @@ TEST_F(OperandTest, EmptyOperand) {
   op.index().ForEachMatch(1, [&](size_t) { ++matches; });
   EXPECT_EQ(matches, 0);
   op.ReleaseAll(ctx_);
+}
+
+// --- Index sharing (DESIGN.md §5, "Operands and shared indexes") ---
+//
+// Hand-built operands over one IndexSet: an exact operand publishes or
+// adopts, anything else builds privately, and the charges never differ.
+
+/// An accountant and 100 rows keyed 0..9 for hand-built operands. The
+/// suite shares its name with the driver-level cases in engine_test.cc,
+/// so it is a helper rather than a fixture.
+struct SharingRig {
+  /// Seals `op` over the first `n` rows, borrowed as a scan's relation
+  /// span would be.
+  void Fill(Operand& op, int64_t n) {
+    op.Append(ctx, rows.data(), n, /*async_io=*/true, /*in_relation=*/true);
+    op.Seal(ctx);
+  }
+
+  sim::CostModel cost;
+  ExecContext ctx{&cost, comm::CommConfig{}, /*memory=*/1 << 20};
+  std::vector<storage::Tuple> rows = [] {
+    std::vector<storage::Tuple> out(100);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i].keys[0] = static_cast<int64_t>(i % 10);
+      out[i].rowid = i;
+    }
+    return out;
+  }();
+};
+
+TEST(IndexSharing, ExactOperandsPublishOnceAndLaterOnesAdopt) {
+  SharingRig rig;
+  ExecContext& ctx = rig.ctx;
+  IndexSet set({100});
+  Operand first(0, "first", 0);
+  Operand second(0, "second", 0);
+  Operand alone(0, "alone", 0);  // no set: always private
+  first.ShareIndexes(&set, {});
+  second.ShareIndexes(&set, {});
+  for (Operand* op : {&first, &second, &alone}) rig.Fill(*op, 100);
+  EXPECT_TRUE(first.exact());
+  EXPECT_TRUE(second.exact());
+  EXPECT_FALSE(alone.exact());
+
+  std::vector<SimDuration> load_times;
+  for (Operand* op : {&first, &second, &alone}) {
+    const SimTime before = ctx.clock.now();
+    ASSERT_TRUE(op->Load(ctx, true).ok());
+    load_times.push_back(ctx.clock.now() - before);
+  }
+  EXPECT_EQ(set.published(), 1);
+  EXPECT_EQ(set.adoptions(), 1);
+  EXPECT_EQ(&second.index(), &first.index());
+  EXPECT_NE(&alone.index(), &first.index());
+  // Adopting charges the build and holds the grant all the same.
+  EXPECT_EQ(load_times[1], load_times[0]);
+  EXPECT_EQ(load_times[2], load_times[0]);
+  EXPECT_EQ(second.granted_bytes(), first.granted_bytes());
+  EXPECT_EQ(alone.granted_bytes(), first.granted_bytes());
+
+  // Unloading drops the operand's handle, never the published index: a
+  // reload adopts it again.
+  second.Unload(ctx);
+  EXPECT_FALSE(second.loaded());
+  ASSERT_TRUE(second.Load(ctx, true).ok());
+  EXPECT_EQ(&second.index(), &first.index());
+  EXPECT_EQ(set.adoptions(), 2);
+  for (Operand* op : {&first, &second, &alone}) op->ReleaseAll(ctx);
+  EXPECT_EQ(ctx.memory.granted(), 0);
+}
+
+// J1's producing chain probes J0. An operand is exact only when its own
+// cardinality is the reference's and every operand upstream of it is
+// exact: over a short upstream operand, even the right row count may hold
+// other rows.
+TEST(IndexSharing, ExactCardinalityOverAShortUpstreamBuildsPrivately) {
+  SharingRig rig;
+  ExecContext& ctx = rig.ctx;
+  struct Case {
+    const char* what;
+    int64_t up_rows;
+    int64_t down_rows;
+    bool up_exact;
+    bool down_exact;
+  };
+  for (const Case& c : {Case{"both exact", 10, 4, true, true},
+                        Case{"short upstream", 6, 4, false, false},
+                        Case{"short operand", 10, 3, true, false}}) {
+    SCOPED_TRACE(c.what);
+    IndexSet set({10, 4});
+    OperandRegistry registry(2);
+    Operand& up = registry.Register(0, "up", 0);
+    Operand& down = registry.Register(1, "down", 0);
+    up.ShareIndexes(&set, {});
+    down.ShareIndexes(&set, {&up});
+    rig.Fill(up, c.up_rows);
+    rig.Fill(down, c.down_rows);
+    EXPECT_EQ(up.exact(), c.up_exact);
+    EXPECT_EQ(down.exact(), c.down_exact);
+    ASSERT_TRUE(up.Load(ctx, true).ok());
+    ASSERT_TRUE(down.Load(ctx, true).ok());
+    EXPECT_EQ(set.published(), (c.up_exact ? 1 : 0) + (c.down_exact ? 1 : 0));
+    EXPECT_EQ(set.adoptions(), 0);
+    up.ReleaseAll(ctx);
+    down.ReleaseAll(ctx);
+  }
 }
 
 TEST_F(OperandTest, RegistryRegistersInOrder) {

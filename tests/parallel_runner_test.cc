@@ -107,8 +107,11 @@ TEST(ParallelRunnerTest, ParallelExecutionMatchesSerialExactly) {
   }
 }
 
-/// TSan stress: many mediators executing concurrently must not share any
-/// mutable state (RNG, clocks, metrics, trace sinks are all per-Mediator).
+/// TSan stress: many mediators executing concurrently. RNG streams,
+/// clocks, metrics and trace sinks are per-Mediator; the one mutable state
+/// they share is each workload's index set, whose first exact operand per
+/// join publishes under the set's mutex while the others adopt, so this
+/// drives the publish path from up to eight threads at once.
 TEST(ParallelRunnerTest, ConcurrentMediatorsStress) {
   const plan::QuerySetup setup = plan::PaperFigure5Query(0.03);
   const ParallelRunner runner(8);
